@@ -11,7 +11,7 @@ can be validated against central finite differences to tight tolerances.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -57,23 +57,6 @@ class Tensor:
     def __repr__(self) -> str:
         tag = self.op or ("param" if self.requires_grad else "leaf")
         return f"Tensor(shape={self.shape}, op={tag})"
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return subtract(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scalar_mul(self, other)
-        return mul(self, other)
-
-    def __neg__(self):
-        return scalar_mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def as_tensor(x) -> Tensor:
@@ -138,16 +121,13 @@ def backward(loss: Tensor) -> None:
             f"backward requires a scalar loss, got shape {loss.shape}")
     tape = build_tape(loss)
     for t in tape:
-        t.grad = np.zeros_like(t.values)
+        # np.zeros takes pages the OS already zeroed (calloc); large
+        # buffers are written only when an adjoint first touches them
+        t.grad = np.zeros(t.values.shape)
     loss.grad = np.ones_like(loss.values)
     for t in reversed(tape):
         if t._adjoint is not None:
             t._adjoint(t.grad)
-
-
-def zero_grads(tensors: Iterable[Tensor]) -> None:
-    for t in tensors:
-        t.grad = np.zeros_like(t.values)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -249,9 +229,15 @@ def relu(a) -> Tensor:
 
 
 def _sigmoid_values(x: np.ndarray) -> np.ndarray:
-    # Stable for large |x|: both branches only exponentiate -|x|.
-    ez = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
+    # 1 / (1 + exp(-x)) in one buffer. exp overflows for x < -709.78 (result
+    # 0, where the exact value is subnormal) and underflows for large x
+    # (result 1); both saturations are benign, so their flags are silenced.
+    out = np.negative(x, out=np.empty_like(x))
+    with np.errstate(over="ignore", under="ignore"):
+        np.exp(out, out=out)
+        out += 1.0
+        np.reciprocal(out, out=out)
+    return out
 
 
 def sigmoid(a) -> Tensor:
@@ -261,7 +247,10 @@ def sigmoid(a) -> Tensor:
         return Tensor(values)
 
     def adjoint(g: np.ndarray) -> None:
-        a.grad += g * values * (1.0 - values)
+        d = np.subtract(1.0, values)
+        d *= values
+        d *= g
+        a.grad += d
 
     return _record(values, "sigmoid", (a,), adjoint)
 
@@ -321,10 +310,13 @@ def pairwise_euclidean(e) -> Tensor:
     e = as_tensor(e)
     if e.values.ndim != 2:
         raise DimensionError(f"pairwise_euclidean expects an (N,k) matrix, got {e.shape}")
-    v = e.values
+    # Exact symmetry by construction: numpy computes v @ v.T for one
+    # contiguous buffer with syrk and mirrors the triangle, and
+    # n_i + n_j == n_j + n_i, so no transposed pass is needed.
+    v = np.ascontiguousarray(e.values)
     sq_norms = (v * v).sum(axis=1)
-    sq = sq_norms[:, None] + sq_norms[None, :] - 2.0 * (v @ v.T)
-    sq = 0.5 * (sq + sq.T)  # exact symmetry despite BLAS rounding
+    sq = sq_norms[:, None] + sq_norms[None, :]
+    sq -= 2.0 * (v @ v.T)
     np.maximum(sq, 0.0, out=sq)
     np.fill_diagonal(sq, 0.0)
     values = np.sqrt(sq)
@@ -332,10 +324,14 @@ def pairwise_euclidean(e) -> Tensor:
         return Tensor(values)
 
     def adjoint(g: np.ndarray) -> None:
-        w = g / np.sqrt(sq + DISTANCE_EPS)
+        w = sq + DISTANCE_EPS
+        np.sqrt(w, out=w)
+        np.divide(g, w, out=w)
         np.fill_diagonal(w, 0.0)  # diagonal is constant 0, no gradient
-        s = w + w.T
-        e.grad += s.sum(axis=1, keepdims=True) * v - s @ v
+        # d_ij depends on rows i and j alike: pull w and w.T through
+        # without forming w + w.T
+        degree = w.sum(axis=1) + w.sum(axis=0)
+        e.grad += degree[:, None] * v - (w @ v + w.T @ v)
 
     return _record(values, "pairwise_euclidean", (e,), adjoint)
 
@@ -360,7 +356,11 @@ def row_normalize(a) -> Tensor:
         return Tensor(values)
 
     def adjoint(g: np.ndarray) -> None:
-        a.grad += (g - (g * values).sum(axis=1, keepdims=True)) / denom
+        d = np.multiply(g, values)
+        row_dot = d.sum(axis=1, keepdims=True)
+        np.subtract(g, row_dot, out=d)
+        d /= denom
+        a.grad += d
 
     return _record(values, "row_normalize", (a,), adjoint)
 

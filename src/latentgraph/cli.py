@@ -126,12 +126,15 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _load_dataset(args) -> data_io.TabularDataset:
+def _read_dataset(args) -> data_io.TabularDataset:
     schema = CsvSchema(id_col=args.id_col, label_col=args.label_col,
                        feature_cols="rest" if args.features == "rest"
                        else [c.strip() for c in args.features.split(",")])
-    dataset = data_io.load_csv(args.data, schema,
-                               quantize_edges=args.quantize_edges)
+    return data_io.load_csv(args.data, schema, quantize_edges=args.quantize_edges)
+
+
+def _load_dataset(args) -> data_io.TabularDataset:
+    dataset = _read_dataset(args)
     if not args.no_standardize:
         dataset.X = data_io.standardize(dataset.X)
     return dataset
@@ -199,21 +202,16 @@ def _cmd_cross_validate(args, out_dir: Path) -> int:
 
 
 def _cmd_infer(args, out_dir: Path) -> int:
-    dataset = _load_dataset(args)
+    dataset = _read_dataset(args)
     test_schema = CsvSchema(id_col=args.id_col, label_col=None,
                             feature_cols=dataset.feature_names)
     test_set = data_io.load_csv(args.test_data, test_schema)
     test_X = test_set.X
     if not args.no_standardize:
-        # reuse the training-set statistics implicitly by re-standardizing
-        # the union; training rows dominate the moments
-        joint = data_io.standardize(np.vstack([
-            data_io.load_csv(args.data, CsvSchema(
-                id_col=args.id_col, label_col=args.label_col,
-                feature_cols=dataset.feature_names),
-                quantize_edges=args.quantize_edges).X, test_set.X]))
-        dataset.X = joint[: dataset.n_nodes]
-        test_X = joint[dataset.n_nodes:]
+        # moments of the training rows only: the trained model must not
+        # depend on the test file
+        test_X = data_io.standardize(test_X, reference=dataset.X)
+        dataset.X = data_io.standardize(dataset.X)
     cfg = _train_config(args)
     params, _ = training.train(dataset, cfg)
     preds = training.inductive_infer(params, dataset.X, test_X)

@@ -194,13 +194,22 @@ def quantize_labels(values, edges) -> np.ndarray:
     return np.minimum(bins, edges.size - 2).astype(np.intp)
 
 
-def standardize(x) -> np.ndarray:
-    """Zero-mean unit-variance columns; constant columns become zeros."""
+def standardize(x, reference=None) -> np.ndarray:
+    """Zero-mean unit-variance columns; constant columns become zeros.
+
+    The column moments come from ``reference`` (default: ``x`` itself),
+    so held-out rows can be scaled with the moments of the training rows
+    alone; columns constant in ``reference`` become zeros in ``x``.
+    """
     x = np.asarray(x, dtype=np.float64)
-    if x.shape[0] < 2:
+    ref = x if reference is None else np.asarray(reference, dtype=np.float64)
+    if ref.shape[0] < 2:
         raise ContractError("standardize needs at least 2 rows")
-    mean = x.mean(axis=0)
-    std = x.std(axis=0)
+    if ref.shape[1:] != x.shape[1:]:
+        raise DimensionError(
+            f"reference shape {ref.shape} does not match rows {x.shape}")
+    mean = ref.mean(axis=0)
+    std = ref.std(axis=0)
     constant = std == 0.0
     if constant.any():
         logger.warning("standardize: %d constant column(s) mapped to zero",

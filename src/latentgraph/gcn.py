@@ -76,6 +76,14 @@ def init_model(features: np.ndarray, n_classes: int, *,
                        gcn=GCNParams(gc_weights, fc_weight, fc_bias))
 
 
+def _check_adjacency(a: Tensor, h: Tensor) -> None:
+    if a.values.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DimensionError(f"adjacency must be square, got {a.shape}")
+    if a.shape[1] != h.shape[0]:
+        raise DimensionError(
+            f"adjacency {a.shape} does not match features {h.shape}")
+
+
 def gc_layer(adjacency, features, weight) -> Tensor:
     """One spatial graph convolution: degree-normalized neighbor average
     of the feature rows, then a linear map.
@@ -86,22 +94,19 @@ def gc_layer(adjacency, features, weight) -> Tensor:
     """
     a = ad.as_tensor(adjacency)
     h = ad.as_tensor(features)
-    w = ad.as_tensor(weight)
-    if a.values.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionError(f"adjacency must be square, got {a.shape}")
-    if a.shape[1] != h.shape[0]:
-        raise DimensionError(
-            f"adjacency {a.shape} does not match features {h.shape}")
-    return ad.matmul(ad.matmul(ad.row_normalize(a), h), w)
+    _check_adjacency(a, h)
+    return ad.matmul(ad.matmul(ad.row_normalize(a), h), weight)
 
 
 def forward(features, params: ModelParams, adjacency=None) -> Tensor:
     """Logits for every node.
 
     Pipeline: embed -> soft adjacency -> stacked graph convolutions with
-    ReLU after each -> linear FC head. One adjacency is computed per
-    forward pass and shared by all layers. Passing ``adjacency``
-    short-circuits the graph-learning stage (static-graph baseline).
+    ReLU after each -> linear FC head. The adjacency is computed and
+    degree-normalized once per forward pass, and that one operator is
+    shared by all layers, so each layer equals ``gc_layer`` on the raw
+    adjacency. Passing ``adjacency`` short-circuits the graph-learning
+    stage (static-graph baseline).
     """
     x = ad.as_tensor(features)
     if adjacency is None:
@@ -112,9 +117,11 @@ def forward(features, params: ModelParams, adjacency=None) -> Tensor:
         a = gl.soft_adjacency(embedding, params.edge)
     else:
         a = ad.as_tensor(adjacency)
+    _check_adjacency(a, x)
+    operator = ad.row_normalize(a)
     h = x
     for w in params.gcn.gc_weights:
-        h = ad.relu(gc_layer(a, h, w))
+        h = ad.relu(ad.matmul(ad.matmul(operator, h), w))
     return ad.add(ad.matmul(h, params.gcn.fc_weight), params.gcn.fc_bias)
 
 

@@ -22,7 +22,9 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ContractError, DimensionError
 
-# Dense N x N float64 adjacency: 8 * N^2 bytes, i.e. ~3.2 GB at the cap.
+# One dense N x N float64 matrix is 8 * N^2 bytes (3.2 GB at the cap), and a
+# training step holds about 18 of them at its peak: ~58 GB at the cap. The
+# cap bounds the matrix size only; it does not check available memory.
 MAX_GRAPH_NODES = 20_000
 
 # Effective temperature at initialization; softplus(raw) == this value.

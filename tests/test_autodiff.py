@@ -84,6 +84,15 @@ class TestPairwiseEuclidean:
         d = ad.pairwise_euclidean(e).values
         assert np.array_equal(d, d.T)
 
+    @pytest.mark.parametrize("layout", ["fortran", "sliced"])
+    def test_exact_symmetry_for_non_c_contiguous_inputs(self, layout):
+        base = RNG.normal(size=(18, 12)) * 37.1
+        e = np.asfortranarray(base[:9]) if layout == "fortran" else base[::2, 1::3]
+        assert not e.flags["C_CONTIGUOUS"]
+        d = ad.pairwise_euclidean(e).values
+        assert np.array_equal(d, d.T)
+        np.testing.assert_allclose(d, pairwise_oracle(e), atol=1e-9)
+
     def test_coincident_points_gradient_is_finite(self):
         e = ad.parameter(np.array([[1.0, 2.0], [1.0, 2.0], [0.0, 0.0]]))
         loss = ad.sum_all(ad.pairwise_euclidean(e))
@@ -105,6 +114,29 @@ class TestSigmoid:
     def test_value_at_two(self):
         # frozen from a 40-digit evaluation of 1 / (1 + exp(-2))
         assert abs(ad.sigmoid(np.asarray(2.0)).values - 0.8807970779778823) < 1e-15
+
+    def test_matches_two_branch_reference(self):
+        # The former kernel: both branches exponentiate only -|x|.
+        def two_branch(x):
+            ez = np.exp(-np.abs(x))
+            return np.where(x >= 0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
+
+        x = np.concatenate([np.linspace(-800.0, 800.0, 160_001),
+                            np.linspace(-745.0, -709.0, 3_601),
+                            [-np.inf, np.inf, -0.0]])
+        with np.errstate(under="ignore"):
+            expected = two_branch(x)
+        with np.errstate(all="raise"):
+            got = ad.sigmoid(x).values
+        tiny = np.finfo(np.float64).tiny
+        normal = expected >= tiny
+        assert normal.any() and (~normal).any()
+        # both formulas round at most a few times: 4 ulp apart at worst
+        rel = np.abs(got[normal] - expected[normal]) / expected[normal]
+        assert rel.max() <= 4 * np.finfo(np.float64).eps
+        # below the smallest normal (x < -708.4) only absolute agreement
+        assert np.all(got[~normal] >= 0.0)
+        assert np.all(np.abs(got[~normal] - expected[~normal]) <= tiny)
 
     def test_adjoint_uses_s_times_one_minus_s(self):
         x = ad.parameter(np.array([0.3, -1.2]))

@@ -129,6 +129,40 @@ class TestTrainInferExport:
         assert lines[0] == "id,label,class"
         assert len(lines) == 5
 
+    def test_infer_training_ignores_test_rows(self, data_csv, tmp_path, monkeypatch):
+        from latentgraph import data_io, training
+        losses, seen_test = [], []
+        train, infer = training.train, training.inductive_infer
+
+        def recording_train(*args, **kwargs):
+            params, history = train(*args, **kwargs)
+            losses.append([r.loss for r in history])
+            return params, history
+
+        def recording_infer(params, train_X, test_X):
+            seen_test.append(test_X)
+            return infer(params, train_X, test_X)
+
+        monkeypatch.setattr(training, "train", recording_train)
+        monkeypatch.setattr(training, "inductive_infer", recording_infer)
+        blobs = make_blobs(n_per_class=15, seed=3)
+        raw = blobs.X
+        rng = np.random.default_rng(0)
+        for k, shift in enumerate((0.0, 40.0)):
+            test_X = rng.normal(size=(3, raw.shape[1])) * 5.0 + shift
+            test_csv = tmp_path / f"test{k}.csv"
+            with open(test_csv, "w") as handle:
+                handle.write("id," + ",".join(blobs.feature_names) + "\n")
+                for i, row in enumerate(test_X):
+                    handle.write(f"t{i}," + ",".join(format(v, ".17g") for v in row) + "\n")
+            code = cli.run(["infer", "--data", str(data_csv), "--label-col", "dx",
+                            "--test-data", str(test_csv), "--out-dir", str(tmp_path / f"o{k}"),
+                            *FAST_FLAGS])
+            assert code == 0
+            np.testing.assert_allclose(seen_test[-1], data_io.standardize(test_X, reference=raw),
+                                       atol=1e-12)
+        assert losses[0] == losses[1]
+
     def test_export_graph_round_trips(self, data_csv, tmp_path):
         from latentgraph import data_io
         out = tmp_path / "eg"

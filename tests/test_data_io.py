@@ -144,6 +144,15 @@ class TestStandardize:
         twice = data_io.standardize(once)
         np.testing.assert_allclose(twice, once, atol=1e-9)
 
+    def test_moments_from_reference_rows(self):
+        train = np.array([[1.0, 5.0], [3.0, 5.0], [5.0, 5.0]])
+        held_out = np.array([[7.0, 9.0]])
+        out = data_io.standardize(held_out, reference=train)
+        np.testing.assert_allclose(out, [[4.0 / np.std([1.0, 3.0, 5.0]), 0.0]],
+                                   atol=1e-12)
+        with pytest.raises(DimensionError):
+            data_io.standardize(np.ones((2, 3)), reference=train)
+
     def test_single_row_rejected(self):
         with pytest.raises(ContractError):
             data_io.standardize(np.ones((1, 3)))

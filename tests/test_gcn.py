@@ -118,6 +118,21 @@ class TestForward:
         np.testing.assert_allclose(gcn.forward(x, params).values,
                                    forward_oracle(x, params), atol=1e-10)
 
+    @pytest.mark.parametrize("static", [False, True])
+    def test_shared_operator_matches_gc_layer_composition(self, static):
+        x, params = init_small_model(seed=9)
+        if static:
+            a = np.abs(RNG.normal(size=(10, 10))) + 0.05
+            logits = gcn.forward(x, params, adjacency=a).values
+        else:
+            a = gl.soft_adjacency(gl.embed(x, params.embedder), params.edge).values
+            logits = gcn.forward(x, params).values
+        h = x
+        for w in params.gcn.gc_weights:
+            h = ad.relu(gcn.gc_layer(a, h, w))
+        expected = ad.add(ad.matmul(h, params.gcn.fc_weight), params.gcn.fc_bias).values
+        np.testing.assert_allclose(logits, expected, rtol=0.0, atol=1e-12)
+
     def test_static_adjacency_path(self):
         x, params = init_small_model()
         a = np.abs(RNG.normal(size=(10, 10))) + 0.05
