@@ -7,26 +7,5 @@ the graph-learning stage.
 """
 
 from . import autodiff, data_io, gcn, graph_learning, synthetic, training
-from .autodiff import Tensor, backward
-from .data_io import CsvSchema, TabularDataset, load_csv, quantize_labels, standardize
-from .gcn import ModelParams, forward, gc_layer, predict
-from .graph_learning import EdgeParams, EmbedderParams, embed, init_edge_params, soft_adjacency
-from .synthetic import (RecoveryConfig, edge_agreement, generate_graph,
-                        make_classification_dataset, neighbor_sum_targets,
-                        recover_graph, recovery_curves)
-from .training import (CVMetrics, Metrics, TrainConfig, cross_validate, evaluate,
-                       inductive_infer, knn_graph_baseline, linear_baseline,
-                       lr_schedule, stratified_kfold, train)
-
-__all__ = [
-    "Tensor", "backward", "CsvSchema", "TabularDataset", "load_csv",
-    "quantize_labels", "standardize", "ModelParams", "forward", "gc_layer",
-    "predict", "EdgeParams", "EmbedderParams", "embed", "init_edge_params",
-    "soft_adjacency", "RecoveryConfig", "edge_agreement", "generate_graph",
-    "make_classification_dataset", "neighbor_sum_targets", "recover_graph",
-    "recovery_curves", "CVMetrics", "Metrics", "TrainConfig", "cross_validate",
-    "evaluate", "inductive_infer", "knn_graph_baseline", "linear_baseline",
-    "lr_schedule", "stratified_kfold", "train",
-]
 
 __version__ = "0.1.0"

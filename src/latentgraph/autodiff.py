@@ -51,9 +51,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.values)
 
-    def backward(self) -> None:
-        backward(self)
-
     def __repr__(self) -> str:
         tag = self.op or ("param" if self.requires_grad else "leaf")
         return f"Tensor(shape={self.shape}, op={tag})"
@@ -363,36 +360,6 @@ def row_normalize(a) -> Tensor:
         a.grad += d
 
     return _record(values, "row_normalize", (a,), adjoint)
-
-
-def concat_rows(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    if a.values.ndim != 2 or b.values.ndim != 2 or a.shape[1] != b.shape[1]:
-        raise DimensionError(
-            f"concat_rows requires matching widths, got {a.shape} and {b.shape}")
-    values = np.concatenate([a.values, b.values], axis=0)
-    if not _needs_grad(a, b):
-        return Tensor(values)
-    split = a.shape[0]
-
-    def adjoint(g: np.ndarray) -> None:
-        a.grad += g[:split]
-        b.grad += g[split:]
-
-    return _record(values, "concat_rows", (a, b), adjoint)
-
-
-def gather_rows(a, rows) -> Tensor:
-    a = as_tensor(a)
-    idx = np.asarray(rows, dtype=np.intp)
-    values = a.values[idx]
-    if not a.requires_grad:
-        return Tensor(values)
-
-    def adjoint(g: np.ndarray) -> None:
-        np.add.at(a.grad, idx, g)
-
-    return _record(values, "gather_rows", (a,), adjoint)
 
 
 def row_softmax_cross_entropy(logits, labels, mask) -> Tensor:

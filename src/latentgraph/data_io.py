@@ -259,7 +259,11 @@ def load_adjacency(path) -> tuple[list[str], np.ndarray]:
 
 
 def write_history_csv(path, history) -> None:
-    """Per-epoch training log: epoch, lr, loss, train_acc, val_acc."""
+    """Per-epoch training log: epoch, lr, loss, train_acc, val_acc.
+
+    Loss and accuracies come from the epoch's forward pass, before its
+    Adam step: they score the parameters the epoch started with.
+    """
     path = Path(path)
     with path.open("w", newline="") as handle:
         writer = csv.writer(handle)

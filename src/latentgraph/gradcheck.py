@@ -15,6 +15,12 @@ from . import autodiff as ad
 from . import gcn
 from .autodiff import Tensor
 
+# Largest accepted relative error against finite differences: for each op
+# alone, and for the whole model loss, whose longer chain of rounding
+# (the learned adjacency and its normalization included) needs more room.
+OP_TOLERANCE = 1e-4
+END_TO_END_TOLERANCE = 1e-3
+
 
 def finite_difference(fn: Callable[[Sequence[np.ndarray]], float],
                       arrays: Sequence[np.ndarray],
@@ -129,15 +135,6 @@ def op_checks(seed: int = 0, instances: int = 10) -> dict[str, float]:
     results["row_normalize"] = _check(
         lambda t: _scalarize(ad.row_normalize(ad.sigmoid(t[0])), w_norm),
         [(5, 5)], rng, instances)
-    w_cat = weight((7, 3))
-    results["concat_rows"] = _check(
-        lambda t: _scalarize(ad.concat_rows(t[0], t[1]), w_cat),
-        [(4, 3), (3, 3)], rng, instances)
-    gather_idx = np.array([0, 2, 2, 4])
-    w_gather = weight((4, 3))
-    results["gather_rows"] = _check(
-        lambda t: _scalarize(ad.gather_rows(t[0], gather_idx), w_gather),
-        [(5, 3)], rng, instances)
     ce_labels = rng.integers(0, 3, size=6)
     ce_mask = np.array([True, False, True, True, False, True])
     results["row_softmax_cross_entropy"] = _check(
@@ -150,8 +147,8 @@ def end_to_end_check(seed: int = 0, instances: int = 10) -> float:
     """Finite differences through the whole model loss, all parameters.
 
     Covers the full pipeline including the learned adjacency and its
-    row normalization; the tolerance for this path is looser (1e-3)
-    than for individual ops.
+    row normalization; its tolerance, ``END_TO_END_TOLERANCE``, is looser
+    than ``OP_TOLERANCE`` for individual ops.
     """
     rng = np.random.default_rng(seed)
     worst = 0.0

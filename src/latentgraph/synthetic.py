@@ -10,8 +10,7 @@ learned graph matches the ground truth.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -20,7 +19,7 @@ from . import autodiff as ad
 from . import graph_learning as gl
 from .data_io import TabularDataset
 from .errors import ContractError, DimensionError, NumericalError
-from .training import AdamState, _workers_from_env, adam_step
+from .training import AdamState, adam_step, parallel_map
 
 
 @dataclass
@@ -165,37 +164,28 @@ def _run_recovery_cell(args) -> RecoveryCell:
     n, dim, seed, edge_probability, base = args
     graph = generate_graph(n, edge_probability, seed)
     targets = neighbor_sum_targets(graph, np.eye(n))
-    cfg = RecoveryConfig(
-        embedding_dim=dim, hidden=base.hidden, lr=base.lr,
-        iterations=base.iterations, seed=seed,
-        divergence_threshold=base.divergence_threshold)
-    result = recover_graph(targets, cfg)
+    result = recover_graph(targets, replace(base, embedding_dim=dim, seed=seed))
     return RecoveryCell(n=n, embedding_dim=dim, seed=seed,
                         mse=result.mse, agreement=result.agreement)
 
 
 def recovery_curves(n_list: Sequence[int], dim_list: Sequence[int],
                     seeds: Sequence[int], edge_probability: float = 0.3,
-                    base_cfg: RecoveryConfig | None = None,
-                    n_workers: int | None = None) -> list[RecoveryCell]:
+                    base_cfg: RecoveryConfig | None = None) -> list[RecoveryCell]:
     """Recovery error over a (node count, embedding dim, seed) grid.
 
     Each cell generates a fresh graph from its seed, runs the recovery
     optimization, and records the final off-diagonal MSE and edge
-    agreement. Cells are independent; the LATENTGRAPH_WORKERS environment
-    variable (or ``n_workers``) runs them in parallel processes.
-    Aggregate with :func:`summarize_curves`.
+    agreement. Every other setting comes from ``base_cfg``. Cells run
+    through :func:`~latentgraph.training.parallel_map`. Aggregate with
+    :func:`summarize_curves`.
     """
     if not n_list or not dim_list or not len(seeds):
         raise ContractError("node, dimension, and seed lists must be non-empty")
     base = base_cfg or RecoveryConfig()
     jobs = [(n, dim, seed, edge_probability, base)
             for n in n_list for dim in dim_list for seed in seeds]
-    workers = _workers_from_env() if n_workers is None else max(1, n_workers)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_run_recovery_cell, jobs))
-    return [_run_recovery_cell(job) for job in jobs]
+    return parallel_map(_run_recovery_cell, jobs)
 
 
 def summarize_curves(cells: Sequence[RecoveryCell]):

@@ -312,12 +312,24 @@ def evaluate(params: gcn.ModelParams, dataset, mask,
 # cross-validation and inference
 
 
-def _workers_from_env() -> int:
-    raw = os.environ.get(WORKERS_ENV_VAR, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+def parallel_map(fn, jobs: Sequence, n_workers: Optional[int] = None) -> list:
+    """``[fn(job) for job in jobs]``, fanned out over worker processes.
+
+    ``n_workers`` defaults to the LATENTGRAPH_WORKERS environment variable
+    (1 when unset or not an integer). No more processes start than there
+    are jobs, and with one worker the jobs run in this process. ``fn``
+    and the jobs must be picklable.
+    """
+    if n_workers is None:
+        try:
+            n_workers = int(os.environ.get(WORKERS_ENV_VAR, "1"))
+        except ValueError:
+            n_workers = 1
+    workers = min(max(1, n_workers), len(jobs))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, jobs))
+    return [fn(job) for job in jobs]
 
 
 def _run_cv_fold(args):
@@ -332,20 +344,15 @@ def cross_validate(dataset, cfg: TrainConfig,
     """Stratified k-fold CV of the full model (transductive protocol).
 
     Every fold trains on the whole graph with only its train rows
-    labeled, then scores the held-out rows. Fold jobs are independent;
-    set the LATENTGRAPH_WORKERS environment variable (or ``n_workers``)
-    to run them in parallel processes.
+    labeled, then scores the held-out rows. Without ``adjacency`` the
+    graph is learned; with one (e.g. :func:`knn_adjacency`) every fold
+    trains on that fixed graph. Fold jobs run through :func:`parallel_map`
+    with ``n_workers``.
     """
     split = stratified_kfold(dataset.y, cfg.folds, cfg.seed)
     jobs = [(dataset, cfg, tr, te, adjacency)
             for tr, te in zip(split.train_indices, split.test_indices)]
-    workers = _workers_from_env() if n_workers is None else max(1, n_workers)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            fold_metrics = list(pool.map(_run_cv_fold, jobs))
-    else:
-        fold_metrics = [_run_cv_fold(job) for job in jobs]
-    return CVMetrics(folds=fold_metrics)
+    return CVMetrics(folds=parallel_map(_run_cv_fold, jobs, n_workers))
 
 
 def inductive_infer(params: gcn.ModelParams, train_X, test_X) -> np.ndarray:
@@ -360,8 +367,7 @@ def inductive_infer(params: gcn.ModelParams, train_X, test_X) -> np.ndarray:
     if train_X.shape[1] != test_X.shape[1]:
         raise DimensionError(
             f"test features have width {test_X.shape[1]}, expected {train_X.shape[1]}")
-    full = ad.concat_rows(ad.as_tensor(train_X), ad.as_tensor(test_X))
-    logits = gcn.forward(full, params)
+    logits = gcn.forward(np.vstack([train_X, test_X]), params)
     return gcn.predict(logits)[train_X.shape[0]:]
 
 
@@ -416,18 +422,3 @@ def knn_adjacency(features: np.ndarray, k_neighbors: int) -> np.ndarray:
     rows = np.repeat(np.arange(n), k_neighbors)
     adjacency[rows, neighbor_cols.ravel()] = 1.0
     return np.maximum(adjacency, adjacency.T)
-
-
-def knn_graph_baseline(dataset, k_neighbors: int, folds: FoldSplit,
-                       cfg: TrainConfig) -> CVMetrics:
-    """GCN trained on a fixed kNN graph built once from raw features.
-
-    Same trainer and protocol as the full model; the only difference is
-    that the graph is never learned.
-    """
-    adjacency = knn_adjacency(np.asarray(dataset.X, dtype=np.float64), k_neighbors)
-    fold_metrics = []
-    for tr, te in zip(folds.train_indices, folds.test_indices):
-        params, _ = train(dataset, cfg, train_mask=tr, adjacency=adjacency)
-        fold_metrics.append(evaluate(params, dataset, te, adjacency=adjacency))
-    return CVMetrics(folds=fold_metrics)

@@ -121,7 +121,8 @@ def test_criterion_6_baseline_ordering(benchmark_dataset):
     split = tr.stratified_kfold(benchmark_dataset.y, cfg.folds, cfg.seed)
     latent = tr.cross_validate(benchmark_dataset, cfg)
     ridge = tr.linear_baseline(benchmark_dataset, split)
-    knn = tr.knn_graph_baseline(benchmark_dataset, 10, split, cfg)
+    knn = tr.cross_validate(benchmark_dataset, cfg,
+                            adjacency=tr.knn_adjacency(benchmark_dataset.X, 10))
     elapsed = time.time() - start
     ok = (latent.accuracy_mean >= ridge.accuracy_mean + 0.05
           and latent.accuracy_mean >= knn.accuracy_mean

@@ -1,3 +1,6 @@
+import ast
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -224,21 +227,6 @@ class TestPlumbingOps:
         with pytest.raises(NumericalError, match="row 1"):
             ad.row_normalize(a)
 
-    def test_concat_rows(self):
-        a, b = RNG.normal(size=(2, 3)), RNG.normal(size=(4, 3))
-        out = ad.concat_rows(a, b)
-        assert np.array_equal(out.values, np.vstack([a, b]))
-        with pytest.raises(DimensionError):
-            ad.concat_rows(np.zeros((2, 3)), np.zeros((2, 4)))
-
-    def test_gather_rows_with_duplicates_accumulates(self):
-        x = ad.parameter(RNG.normal(size=(4, 2)))
-        out = ad.gather_rows(x, [1, 1, 3])
-        assert np.array_equal(out.values, x.values[[1, 1, 3]])
-        ad.backward(ad.sum_all(out))
-        assert np.array_equal(x.grad, np.array([[0, 0], [2, 2], [0, 0], [1, 1]],
-                                               dtype=float))
-
     def test_cross_entropy_matches_loop_oracle(self):
         logits = RNG.normal(size=(5, 3))
         labels = np.array([0, 2, 1, 1, 0])
@@ -268,6 +256,20 @@ class TestGradientCorrectness:
         results = op_checks(seed=7, instances=10)
         for name, err in results.items():
             assert err < 1e-4, f"{name}: {err}"
+
+    def test_every_recorded_op_has_a_check(self):
+        # op names passed to _record in autodiff: each needs a gradcheck
+        # entry, and each entry (or variant "<op>_...") needs a live op
+        tree = ast.parse(inspect.getsource(ad))
+        recorded = {node.args[1].value for node in ast.walk(tree)
+                    if isinstance(node, ast.Call)
+                    and getattr(node.func, "id", None) == "_record"}
+        assert "pairwise_euclidean" in recorded and "matmul" in recorded
+        checked = set(op_checks(seed=0, instances=1))
+        assert recorded <= checked, sorted(recorded - checked)
+        orphans = [name for name in checked
+                   if not any(name == op or name.startswith(op + "_") for op in recorded)]
+        assert not orphans
 
 
 class TestNumericalHygiene:

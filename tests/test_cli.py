@@ -56,6 +56,33 @@ class TestCrossValidate:
         assert metrics["seed"] == 7
         assert len(metrics["model"]["fold_accuracy"]) == 3
 
+    def test_with_baselines_reports_ridge_and_knn_graph(self, tmp_path, capsys):
+        from latentgraph import data_io, training
+        # overlapping blobs, so the fold scores depend on the graph
+        data_csv = tmp_path / "overlap.csv"
+        write_dataset_csv(data_csv, make_blobs(n_per_class=15, separation=2.0, seed=3))
+        out = tmp_path / "cvb"
+        code = cli.run(["cross-validate", "--data", str(data_csv),
+                        "--label-col", "dx", "--folds", "3", "--seed", "7",
+                        "--with-baselines", "--knn-k", "4",
+                        "--out-dir", str(out), *FAST_FLAGS])
+        assert code == 0
+        printed = capsys.readouterr().out
+        assert "ridge baseline" in printed and "knn-graph baseline" in printed
+        metrics = json.loads((out / "metrics.json").read_text())
+        dataset = data_io.load_csv(data_csv, data_io.CsvSchema(id_col="id", label_col="dx"))
+        dataset.X = data_io.standardize(dataset.X)
+        cfg = training.TrainConfig(seed=7, folds=3, epochs=40, embed_hidden=(),
+                                   embed_dim=4, gc_widths=(8, 4))
+        knn = training.cross_validate(
+            dataset, cfg, adjacency=training.knn_adjacency(dataset.X, 4))
+        ridge = training.linear_baseline(
+            dataset, training.stratified_kfold(dataset.y, 3, 7))
+        for key, expected in (("knn_graph_baseline", knn), ("ridge_baseline", ridge)):
+            assert metrics[key]["fold_accuracy"] == [m.accuracy for m in expected.folds]
+            assert metrics[key]["fold_auc"] == [m.auc for m in expected.folds]
+            assert metrics[key]["accuracy_mean"] == expected.accuracy_mean
+
 
 class TestSynthRecover:
     def test_writes_adjacencies_and_prints_mse(self, tmp_path, capsys):

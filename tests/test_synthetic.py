@@ -125,15 +125,25 @@ class TestRecoverGraph:
 
 class TestRecoveryCurves:
     def test_single_cell_equals_single_run(self):
-        cfg = syn.RecoveryConfig(iterations=150)
+        # every non-default base setting must reach the cell's run
+        cfg = syn.RecoveryConfig(iterations=150, lr=0.03, hidden=(16,))
         cells = syn.recovery_curves([6], [4], seeds=[3], base_cfg=cfg)
         assert len(cells) == 1
         g = syn.generate_graph(6, 0.3, seed=3)
         targets = syn.neighbor_sum_targets(g, np.eye(6))
         direct = syn.recover_graph(
-            targets, syn.RecoveryConfig(embedding_dim=4, iterations=150, seed=3))
+            targets, syn.RecoveryConfig(embedding_dim=4, iterations=150, lr=0.03,
+                                        hidden=(16,), seed=3))
         assert cells[0].mse == direct.mse
         assert cells[0].agreement == direct.agreement
+
+    def test_worker_processes_match_serial(self, monkeypatch):
+        cfg = syn.RecoveryConfig(iterations=100)
+        monkeypatch.delenv("LATENTGRAPH_WORKERS", raising=False)
+        serial = syn.recovery_curves([5], [2, 4], seeds=[0], base_cfg=cfg)
+        monkeypatch.setenv("LATENTGRAPH_WORKERS", "2")
+        parallel = syn.recovery_curves([5], [2, 4], seeds=[0], base_cfg=cfg)
+        assert parallel == serial
 
     def test_summarize_groups_by_cell(self):
         cells = [syn.RecoveryCell(5, 2, s, mse, 1.0)

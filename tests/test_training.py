@@ -285,6 +285,59 @@ class TestCrossValidate:
         assert serial.accuracy_mean == parallel.accuracy_mean
 
 
+class TestParallelMap:
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        """Sizes of the process pools parallel_map asks for; starts none."""
+        sizes = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(tr, "ProcessPoolExecutor", FakePool)
+        monkeypatch.delenv(tr.WORKERS_ENV_VAR, raising=False)
+        return sizes
+
+    def test_never_more_workers_than_jobs(self, pool_sizes):
+        assert tr.parallel_map(abs, [-1, -2, -3], n_workers=64) == [1, 2, 3]
+        assert pool_sizes == [3]
+
+    def test_env_sets_worker_count(self, pool_sizes, monkeypatch):
+        monkeypatch.setenv(tr.WORKERS_ENV_VAR, "64")
+        assert tr.parallel_map(abs, list(range(-10, 0))) == list(range(10, 0, -1))
+        monkeypatch.setenv(tr.WORKERS_ENV_VAR, "2")
+        tr.parallel_map(abs, list(range(10)))
+        assert pool_sizes == [10, 2]
+
+    @pytest.mark.parametrize("env", [None, "1", "0", "-3", "two", ""])
+    def test_unset_or_unparsable_env_runs_in_process(self, pool_sizes, monkeypatch, env):
+        if env is not None:
+            monkeypatch.setenv(tr.WORKERS_ENV_VAR, env)
+        assert tr.parallel_map(abs, [-1, -2]) == [1, 2]
+        assert pool_sizes == []
+
+    def test_explicit_count_overrides_env(self, pool_sizes, monkeypatch):
+        monkeypatch.setenv(tr.WORKERS_ENV_VAR, "8")
+        tr.parallel_map(abs, [1, 2, 3], n_workers=1)
+        tr.parallel_map(abs, [1, 2, 3], n_workers=2)
+        assert pool_sizes == [2]
+
+    def test_single_job_starts_no_pool(self, pool_sizes):
+        assert tr.parallel_map(abs, [-5], n_workers=4) == [5]
+        assert tr.parallel_map(abs, [], n_workers=4) == []
+        assert pool_sizes == []
+
+
 class TestInductive:
     def setup_method(self):
         self.ds = make_blobs(n_per_class=25, seed=2)
@@ -359,6 +412,5 @@ class TestKnnBaseline:
 
     def test_informative_clusters_beat_chance(self, blobs):
         cfg = tr.TrainConfig(seed=0, folds=4, **{**FAST, "epochs": 60})
-        split = tr.stratified_kfold(blobs.y, 4, 0)
-        metrics = tr.knn_graph_baseline(blobs, 5, split, cfg)
+        metrics = tr.cross_validate(blobs, cfg, adjacency=tr.knn_adjacency(blobs.X, 5))
         assert metrics.accuracy_mean > 0.6
