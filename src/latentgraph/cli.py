@@ -248,8 +248,7 @@ def _cmd_synth_recover(args, out_dir: Path) -> int:
                                    iterations=args.iterations)
     result = synthetic.recover_graph(targets, cfg)
     node_ids = [f"n{i}" for i in range(args.nodes)]
-    data_io.export_adjacency(graph.adjacency, node_ids,
-                             out_dir / "ground_truth.csv")
+    data_io.export_adjacency(graph, node_ids, out_dir / "ground_truth.csv")
     data_io.export_adjacency(result.adjacency, node_ids,
                              out_dir / "learned_adjacency.csv")
     _write_run_info(out_dir, args, {

@@ -15,28 +15,19 @@ from .errors import DimensionError
 
 
 @dataclass
-class GCNParams:
-    """Per-layer graph-convolution weights (no bias) and the FC head."""
-
-    gc_weights: list[Tensor]
-    fc_weight: Tensor
-    fc_bias: Tensor
-
-    def tensors(self) -> list[Tensor]:
-        return [*self.gc_weights, self.fc_weight, self.fc_bias]
-
-
-@dataclass
 class ModelParams:
     """Every trainable tensor of the model.
 
     ``embedder`` and ``edge`` are None for the static-graph variant that
-    trains over a fixed adjacency instead of learning one.
+    trains over a fixed adjacency instead of learning one. The graph
+    convolutions have no bias; the FC head does.
     """
 
     embedder: gl.EmbedderParams | None
     edge: gl.EdgeParams | None
-    gcn: GCNParams
+    gc_weights: list[Tensor]
+    fc_weight: Tensor
+    fc_bias: Tensor
 
     def tensors(self) -> list[Tensor]:
         out: list[Tensor] = []
@@ -44,8 +35,7 @@ class ModelParams:
             out.extend(self.embedder.tensors())
         if self.edge is not None:
             out.extend(self.edge.tensors())
-        out.extend(self.gcn.tensors())
-        return out
+        return [*out, *self.gc_weights, self.fc_weight, self.fc_bias]
 
 
 def init_model(features: np.ndarray, n_classes: int, *,
@@ -72,8 +62,8 @@ def init_model(features: np.ndarray, n_classes: int, *,
         width_in = width_out
     fc_weight = ad.parameter(gl.glorot_uniform(rng, width_in, n_classes))
     fc_bias = ad.parameter(np.zeros((1, n_classes)))
-    return ModelParams(embedder=embedder, edge=edge,
-                       gcn=GCNParams(gc_weights, fc_weight, fc_bias))
+    return ModelParams(embedder=embedder, edge=edge, gc_weights=gc_weights,
+                       fc_weight=fc_weight, fc_bias=fc_bias)
 
 
 def _check_adjacency(a: Tensor, h: Tensor) -> None:
@@ -120,9 +110,9 @@ def forward(features, params: ModelParams, adjacency=None) -> Tensor:
     _check_adjacency(a, x)
     operator = ad.row_normalize(a)
     h = x
-    for w in params.gcn.gc_weights:
+    for w in params.gc_weights:
         h = ad.relu(ad.matmul(ad.matmul(operator, h), w))
-    return ad.add(ad.matmul(h, params.gcn.fc_weight), params.gcn.fc_bias)
+    return ad.add(ad.matmul(h, params.fc_weight), params.fc_bias)
 
 
 def predict(logits) -> np.ndarray:

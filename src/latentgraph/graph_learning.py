@@ -42,10 +42,6 @@ class EmbedderParams:
     def input_dim(self) -> int:
         return self.weights[0].shape[0]
 
-    @property
-    def embedding_dim(self) -> int:
-        return self.weights[-1].shape[1]
-
     def tensors(self) -> list[Tensor]:
         return [*self.weights, *self.biases]
 
@@ -104,11 +100,6 @@ def embed(features, params: EmbedderParams) -> Tensor:
     return h
 
 
-def pairwise_distances(values: np.ndarray) -> np.ndarray:
-    """Plain-numpy pairwise Euclidean distances (no gradient)."""
-    return ad.pairwise_euclidean(np.asarray(values, dtype=np.float64)).values
-
-
 def init_edge_params(initial_embedding) -> EdgeParams:
     """Edge scalars calibrated on the initial embedding.
 
@@ -123,7 +114,7 @@ def init_edge_params(initial_embedding) -> EdgeParams:
     if n < 2:
         threshold = 1.0
     else:
-        dists = pairwise_distances(values)
+        dists = ad.pairwise_euclidean(values).values
         off_diag = dists[~np.eye(n, dtype=bool)]
         threshold = float(np.median(off_diag))
     raw_temperature = float(np.log(np.expm1(INITIAL_TEMPERATURE)))

@@ -22,22 +22,13 @@ from .errors import ContractError, DimensionError, NumericalError
 from .training import AdamState, adam_step, parallel_map
 
 
-@dataclass
-class GroundTruthGraph:
-    """Seeded binary graph: symmetric, zero diagonal, no isolated nodes."""
-
-    n: int
-    adjacency: np.ndarray
-    edge_probability: float
-    seed: int
-
-
-def generate_graph(n: int, p: float, seed: int = 0) -> GroundTruthGraph:
-    """Erdos-Renyi G(n, p) with an isolated-node repair pass.
+def generate_graph(n: int, p: float, seed: int = 0) -> np.ndarray:
+    """Erdos-Renyi G(n, p) adjacency with an isolated-node repair pass.
 
     Each undirected pair is kept with probability ``p``; any node left
     isolated afterwards gets one edge to a uniformly random other node.
-    Deterministic given the seed.
+    The result is binary, symmetric, with a zero diagonal and no isolated
+    node. Deterministic given the seed.
     """
     if n < 2:
         raise ContractError(f"need at least 2 nodes, got {n}")
@@ -53,31 +44,44 @@ def generate_graph(n: int, p: float, seed: int = 0) -> GroundTruthGraph:
             other += 1
         adjacency[node, other] = 1.0
         adjacency[other, node] = 1.0
-    return GroundTruthGraph(n=n, adjacency=adjacency, edge_probability=p, seed=seed)
+    return adjacency
 
 
-def neighbor_sum_targets(graph: GroundTruthGraph, features) -> np.ndarray:
+def neighbor_sum_targets(adjacency: np.ndarray, features) -> np.ndarray:
     """Row i is the sum of feature rows over node i's neighbors.
 
     With identity features this is exactly the adjacency matrix.
     """
     features = np.asarray(features, dtype=np.float64)
-    if features.shape[0] != graph.n:
+    if features.shape[0] != adjacency.shape[0]:
         raise DimensionError(
-            f"features have {features.shape[0]} rows for a {graph.n}-node graph")
-    return graph.adjacency @ features
+            f"features have {features.shape[0]} rows for a "
+            f"{adjacency.shape[0]}-node graph")
+    return adjacency @ features
+
+
+# Fixed settings of the recovery study: the embedder's hidden widths,
+# Adam's learning rate, and the loss above which a run counts as diverged.
+RECOVERY_HIDDEN = (64,)
+RECOVERY_LR = 0.01
+RECOVERY_MAX_LOSS = 1e6
+# Edge weight at or above which a learned entry counts as an edge.
+EDGE_CUTOFF = 0.5
 
 
 @dataclass
 class RecoveryConfig:
-    """Optimizer settings for the graph-recovery objective."""
+    """Embedding width, iteration count and seed of one recovery run."""
 
     embedding_dim: int = 8
-    hidden: tuple[int, ...] = (64,)
-    lr: float = 0.01
     iterations: int = 2000
     seed: int = 0
-    divergence_threshold: float = 1e6
+
+    def __post_init__(self) -> None:
+        if self.embedding_dim < 1:
+            raise ContractError("embedding_dim must be at least 1")
+        if self.iterations < 0:
+            raise ContractError("iterations must be non-negative")
 
 
 @dataclass
@@ -88,17 +92,17 @@ class RecoveryResult:
     loss_history: list[float] = field(repr=False)
 
 
-def edge_agreement(a_learned: np.ndarray, a_true: np.ndarray,
-                   threshold: float = 0.5) -> float:
-    """Fraction of off-diagonal entries whose thresholded bit matches."""
+def edge_agreement(a_learned: np.ndarray, a_true: np.ndarray) -> float:
+    """Fraction of off-diagonal entries whose bit (entry >= EDGE_CUTOFF)
+    matches."""
     a_learned = np.asarray(a_learned)
     a_true = np.asarray(a_true)
     if a_learned.shape != a_true.shape:
         raise DimensionError(
             f"shape mismatch: {a_learned.shape} vs {a_true.shape}")
     off = ~np.eye(a_learned.shape[0], dtype=bool)
-    learned_bits = a_learned[off] >= threshold
-    true_bits = a_true[off] >= threshold
+    learned_bits = a_learned[off] >= EDGE_CUTOFF
+    true_bits = a_true[off] >= EDGE_CUTOFF
     return float(np.mean(learned_bits == true_bits))
 
 
@@ -116,11 +120,10 @@ def recover_graph(targets: np.ndarray, cfg: RecoveryConfig) -> RecoveryResult:
         raise DimensionError(f"targets must be square, got {targets.shape}")
     n = targets.shape[0]
     rng = np.random.default_rng(cfg.seed)
-    embedder = gl.init_embedder([n, *cfg.hidden, cfg.embedding_dim], rng)
+    embedder = gl.init_embedder([n, *RECOVERY_HIDDEN, cfg.embedding_dim], rng)
     features = ad.as_tensor(np.eye(n))
     edge = gl.init_edge_params(gl.embed(features, embedder))
-    params = [*embedder.tensors(), *edge.tensors()]
-    state = AdamState(params)
+    state = AdamState([*embedder.tensors(), *edge.tensors()])
     target_tensor = ad.as_tensor(targets)
     off_diag = ad.as_tensor(1.0 - np.eye(n))
     scale = 1.0 / (n * (n - 1))
@@ -134,12 +137,12 @@ def recover_graph(targets: np.ndarray, cfg: RecoveryConfig) -> RecoveryResult:
     for iteration in range(cfg.iterations):
         loss = objective()
         value = loss.item()
-        if not np.isfinite(value) or value > cfg.divergence_threshold:
+        if not np.isfinite(value) or value > RECOVERY_MAX_LOSS:
             raise NumericalError(
                 f"recovery diverged at iteration {iteration}: loss={value!r}")
         history.append(value)
         ad.backward(loss)
-        adam_step(params, [p.grad for p in params], state, cfg.lr)
+        adam_step(state, RECOVERY_LR)
 
     adjacency = gl.soft_adjacency(gl.embed(features, embedder), edge).values
     off = ~np.eye(n, dtype=bool)
@@ -161,11 +164,10 @@ class RecoveryCell:
 
 
 def _run_recovery_cell(args) -> RecoveryCell:
-    n, dim, seed, edge_probability, base = args
-    graph = generate_graph(n, edge_probability, seed)
-    targets = neighbor_sum_targets(graph, np.eye(n))
-    result = recover_graph(targets, replace(base, embedding_dim=dim, seed=seed))
-    return RecoveryCell(n=n, embedding_dim=dim, seed=seed,
+    n, edge_probability, cfg = args
+    graph = generate_graph(n, edge_probability, cfg.seed)
+    result = recover_graph(neighbor_sum_targets(graph, np.eye(n)), cfg)
+    return RecoveryCell(n=n, embedding_dim=cfg.embedding_dim, seed=cfg.seed,
                         mse=result.mse, agreement=result.agreement)
 
 
@@ -183,7 +185,7 @@ def recovery_curves(n_list: Sequence[int], dim_list: Sequence[int],
     if not n_list or not dim_list or not len(seeds):
         raise ContractError("node, dimension, and seed lists must be non-empty")
     base = base_cfg or RecoveryConfig()
-    jobs = [(n, dim, seed, edge_probability, base)
+    jobs = [(n, edge_probability, replace(base, embedding_dim=dim, seed=seed))
             for n in n_list for dim in dim_list for seed in seeds]
     return parallel_map(_run_recovery_cell, jobs)
 
@@ -197,66 +199,59 @@ def summarize_curves(cells: Sequence[RecoveryCell]):
             for key, v in sorted(grouped.items())}
 
 
-def make_classification_dataset(n_nodes: int = 300, n_classes: int = 3,
-                                n_informative: int = 10, n_nuisance: int = 90,
-                                clusters_per_class: int = 2,
-                                separation: float = 6.0,
-                                cluster_std: float = 0.1,
-                                nuisance_scale: float = 3.0,
-                                nuisance_factor_weight: float = 0.5,
+# Fixed shape of the classification benchmark: per class, two antipodal
+# Gaussian clusters in the informative subspace; nuisance features mixed
+# with a shared per-node factor of weight NUISANCE_FACTOR_WEIGHT.
+N_CLASSES = 3
+N_INFORMATIVE = 10
+SEPARATION = 6.0
+CLUSTER_STD = 0.1
+NUISANCE_SCALE = 3.0
+NUISANCE_FACTOR_WEIGHT = 0.5
+
+
+def make_classification_dataset(n_nodes: int = 300, n_nuisance: int = 90,
                                 seed: int = 0) -> TabularDataset:
     """Clustered benchmark where raw distances are dominated by noise.
 
-    Each class occupies ``clusters_per_class`` Gaussian clusters of
-    spread ``cluster_std`` in the informative subspace; with two clusters
-    they sit at antipodal points, which defeats linear decision
-    boundaries. The nuisance features are label-free noise, optionally
-    mixed with a shared per-node factor (weight ``nuisance_factor_weight``
-    in [0, 1)) that mimics global confounds such as site or age effects:
-    it dominates raw pairwise distances, so neighbor graphs built from
-    raw features sort by the confound, while the informative subspace
-    still cleanly separates the clusters.
+    Each of the ``N_CLASSES`` classes occupies two Gaussian clusters of
+    spread ``CLUSTER_STD`` at antipodal points ``±SEPARATION`` along a
+    random direction of the ``N_INFORMATIVE``-dimensional informative
+    subspace, which defeats linear decision boundaries. The nuisance
+    features are label-free noise mixed with a shared per-node factor
+    (weight ``NUISANCE_FACTOR_WEIGHT``) that mimics global confounds such
+    as site or age effects: it dominates raw pairwise distances, so
+    neighbor graphs built from raw features sort by the confound, while
+    the informative subspace still cleanly separates the clusters.
     """
-    if n_classes < 2 or clusters_per_class < 1:
-        raise ContractError("need at least 2 classes and 1 cluster per class")
     rng = np.random.default_rng(seed)
-    counts = np.full(n_classes, n_nodes // n_classes)
-    counts[: n_nodes % n_classes] += 1
-    labels = np.repeat(np.arange(n_classes), counts)
+    counts = np.full(N_CLASSES, n_nodes // N_CLASSES)
+    counts[: n_nodes % N_CLASSES] += 1
+    labels = np.repeat(np.arange(N_CLASSES), counts)
     centers = []
-    for _ in range(n_classes):
-        direction = rng.normal(size=n_informative)
+    for _ in range(N_CLASSES):
+        direction = rng.normal(size=N_INFORMATIVE)
         direction /= np.linalg.norm(direction)
-        if clusters_per_class == 2:
-            centers.append(np.stack([separation * direction,
-                                     -separation * direction]))
-        else:
-            cluster_dirs = rng.normal(size=(clusters_per_class, n_informative))
-            cluster_dirs /= np.linalg.norm(cluster_dirs, axis=1, keepdims=True)
-            centers.append(separation * cluster_dirs)
-    informative = np.empty((n_nodes, n_informative))
+        centers.append(np.stack([SEPARATION * direction, -SEPARATION * direction]))
+    informative = np.empty((n_nodes, N_INFORMATIVE))
     for i, cls in enumerate(labels):
-        cluster = rng.integers(clusters_per_class)
+        cluster = rng.integers(2)
         informative[i] = centers[cls][cluster] + \
-            rng.normal(scale=cluster_std, size=n_informative)
+            rng.normal(scale=CLUSTER_STD, size=N_INFORMATIVE)
     noise = rng.normal(size=(n_nodes, n_nuisance))
-    if nuisance_factor_weight > 0.0:
-        if not nuisance_factor_weight < 1.0:
-            raise ContractError("nuisance_factor_weight must lie in [0, 1)")
-        factor = rng.normal(size=(n_nodes, 1))
-        loadings = rng.choice([-1.0, 1.0], size=(1, n_nuisance))
-        noise = (np.sqrt(nuisance_factor_weight) * factor * loadings
-                 + np.sqrt(1.0 - nuisance_factor_weight) * noise)
-    nuisance = nuisance_scale * noise
-    x = np.hstack([informative, nuisance])
+    factor = rng.normal(size=(n_nodes, 1))
+    loadings = rng.choice([-1.0, 1.0], size=(1, n_nuisance))
+    noise = (np.sqrt(NUISANCE_FACTOR_WEIGHT) * factor * loadings
+             + np.sqrt(1.0 - NUISANCE_FACTOR_WEIGHT) * noise)
+    x = np.hstack([informative, NUISANCE_SCALE * noise])
     order = rng.permutation(n_nodes)
     x, labels = x[order], labels[order]
-    feature_names = [f"inf{i:03d}" for i in range(n_informative)] + \
+    feature_names = [f"inf{i:03d}" for i in range(N_INFORMATIVE)] + \
                     [f"noise{i:03d}" for i in range(n_nuisance)]
     return TabularDataset(
         node_ids=[f"n{i:04d}" for i in range(n_nodes)],
         X=x,
         y=labels.astype(np.intp),
-        class_names=[f"class{c}" for c in range(n_classes)],
+        class_names=[f"class{c}" for c in range(N_CLASSES)],
         feature_names=feature_names,
     )

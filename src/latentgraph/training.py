@@ -19,30 +19,33 @@ from . import autodiff as ad
 from . import gcn
 from .autodiff import Tensor
 from .errors import ContractError, DataError, DimensionError, NumericalError
-from .graph_learning import pairwise_distances
 
 WORKERS_ENV_VAR = "LATENTGRAPH_WORKERS"
 
 
+# The paper's fixed optimisation protocol. The learning rate is multiplied
+# by ``(lr_min / lr0) ** (1 / LR_DECAYS)`` every ``LR_DECAY_INTERVAL``
+# epochs and reaches ``lr_min`` after ``LR_DECAYS`` decays: 0.01 decays to
+# 0.0001 by epoch 500 of 600. Adam uses the standard moment rates.
+LR_DECAY_INTERVAL = 100
+LR_DECAYS = 5
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+
+
 @dataclass
 class TrainConfig:
-    """Optimizer schedule, CV protocol, and architecture widths.
+    """Learning-rate range, CV protocol, and architecture widths.
 
-    The learning rate starts at ``lr0`` and is multiplied by
-    ``(lr_min / lr0) ** (1 / lr_decay_steps)`` every ``lr_step`` epochs,
-    reaching ``lr_min`` (and staying there) after ``lr_decay_steps``
-    decays; with the defaults that is 0.01 decaying to 0.0001 by epoch
-    500 of 600.
+    The decay schedule and Adam's constants are fixed module constants
+    (``LR_DECAY_INTERVAL``, ``LR_DECAYS``, ``ADAM_BETA1``, ``ADAM_BETA2``,
+    ``ADAM_EPSILON``).
     """
 
     epochs: int = 600
     lr0: float = 0.01
     lr_min: float = 0.0001
-    lr_step: int = 100
-    lr_decay_steps: int = 5
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
     folds: int = 10
     embed_hidden: tuple[int, ...] = (64,)
@@ -56,42 +59,40 @@ class TrainConfig:
             raise ContractError("need 0 < lr_min <= lr0")
         if self.folds < 2:
             raise ContractError("fold count must be at least 2")
-        if self.lr_step < 1 or self.lr_decay_steps < 1:
-            raise ContractError("lr_step and lr_decay_steps must be positive")
+        if not self.gc_widths:
+            raise ContractError("need at least one graph-convolution layer")
+        if min((*self.embed_hidden, self.embed_dim, *self.gc_widths)) < 1:
+            raise ContractError("layer widths must be at least 1")
 
 
 def lr_schedule(epoch: int, cfg: TrainConfig) -> float:
     """Piecewise-constant geometric decay, clamped below at ``lr_min``."""
-    factor = (cfg.lr_min / cfg.lr0) ** (1.0 / cfg.lr_decay_steps)
-    return max(cfg.lr_min, cfg.lr0 * factor ** (epoch // cfg.lr_step))
+    factor = (cfg.lr_min / cfg.lr0) ** (1.0 / LR_DECAYS)
+    return max(cfg.lr_min, cfg.lr0 * factor ** (epoch // LR_DECAY_INTERVAL))
 
 
 class AdamState:
-    """First/second moment buffers and step counter for a parameter list."""
+    """A parameter list with its first/second moment buffers and step count."""
 
     def __init__(self, params: Sequence[Tensor]):
-        self.m = [np.zeros_like(p.values) for p in params]
-        self.v = [np.zeros_like(p.values) for p in params]
+        self.params = list(params)
+        self.m = [np.zeros_like(p.values) for p in self.params]
+        self.v = [np.zeros_like(p.values) for p in self.params]
         self.step = 0
 
 
-def adam_step(params: Sequence[Tensor], grads: Sequence[np.ndarray],
-              state: AdamState, lr: float, *, beta1: float = 0.9,
-              beta2: float = 0.999, eps: float = 1e-8) -> None:
-    """Standard bias-corrected Adam update, applied in place."""
-    if len(params) != len(state.m):
-        raise ContractError("optimizer state does not match parameter list")
+def adam_step(state: AdamState, lr: float) -> None:
+    """Bias-corrected Adam update of ``state.params`` from their ``grad``,
+    applied in place."""
     state.step += 1
     t = state.step
-    for i, (p, g) in enumerate(zip(params, grads)):
-        if g.shape != p.values.shape:
-            raise ContractError(
-                f"gradient shape {g.shape} does not match parameter {p.values.shape}")
-        state.m[i] = beta1 * state.m[i] + (1.0 - beta1) * g
-        state.v[i] = beta2 * state.v[i] + (1.0 - beta2) * (g * g)
-        m_hat = state.m[i] / (1.0 - beta1 ** t)
-        v_hat = state.v[i] / (1.0 - beta2 ** t)
-        p.values -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    for i, p in enumerate(state.params):
+        g = p.grad
+        state.m[i] = ADAM_BETA1 * state.m[i] + (1.0 - ADAM_BETA1) * g
+        state.v[i] = ADAM_BETA2 * state.v[i] + (1.0 - ADAM_BETA2) * (g * g)
+        m_hat = state.m[i] / (1.0 - ADAM_BETA1 ** t)
+        v_hat = state.v[i] / (1.0 - ADAM_BETA2 ** t)
+        p.values -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
 
 
 @dataclass
@@ -100,9 +101,6 @@ class FoldSplit:
 
     train_indices: list[np.ndarray]
     test_indices: list[np.ndarray]
-
-    def __len__(self) -> int:
-        return len(self.test_indices)
 
 
 def stratified_kfold(labels, k: int, seed: int = 0) -> FoldSplit:
@@ -185,8 +183,7 @@ def train(dataset, cfg: TrainConfig, train_mask=None, val_mask=None,
             raise NumericalError(
                 f"non-finite loss at epoch {epoch}; parameter norms: [{norms}]")
         ad.backward(loss)
-        adam_step(tensors, [t.grad for t in tensors], state, lr,
-                  beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.adam_eps)
+        adam_step(state, lr)
         preds = gcn.predict(logits)
         train_acc = float(np.mean(preds[train_idx] == y[train_idx]))
         val_acc = None
@@ -374,9 +371,11 @@ def inductive_infer(params: gcn.ModelParams, train_X, test_X) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # baselines
 
+# L2 penalty of the ridge baseline.
+RIDGE_PENALTY = 1.0
 
-def ridge_fit(features: np.ndarray, labels: np.ndarray, n_classes: int,
-              ridge_lambda: float = 1.0) -> np.ndarray:
+
+def ridge_fit(features: np.ndarray, labels: np.ndarray, n_classes: int) -> np.ndarray:
     """One-vs-rest ridge weights by the regularized normal equations.
 
     Features are augmented with a constant column; the regularizer keeps
@@ -385,7 +384,7 @@ def ridge_fit(features: np.ndarray, labels: np.ndarray, n_classes: int,
     x = np.hstack([features, np.ones((features.shape[0], 1))])
     targets = np.zeros((x.shape[0], n_classes))
     targets[np.arange(x.shape[0]), labels] = 1.0
-    gram = x.T @ x + ridge_lambda * np.eye(x.shape[1])
+    gram = x.T @ x + RIDGE_PENALTY * np.eye(x.shape[1])
     return np.linalg.solve(gram, x.T @ targets)
 
 
@@ -394,14 +393,14 @@ def ridge_scores(weights: np.ndarray, features: np.ndarray) -> np.ndarray:
     return x @ weights
 
 
-def linear_baseline(dataset, folds: FoldSplit, ridge_lambda: float = 1.0) -> CVMetrics:
+def linear_baseline(dataset, folds: FoldSplit) -> CVMetrics:
     """Ridge-regression classifier under the same CV protocol."""
     x = np.asarray(dataset.X, dtype=np.float64)
     y = np.asarray(dataset.y)
     n_classes = int(y.max()) + 1
     fold_metrics = []
     for tr, te in zip(folds.train_indices, folds.test_indices):
-        weights = ridge_fit(x[tr], y[tr], n_classes, ridge_lambda)
+        weights = ridge_fit(x[tr], y[tr], n_classes)
         scores = ridge_scores(weights, x[te])
         accuracy = float(np.mean(np.argmax(scores, axis=1) == y[te]))
         auc = macro_ovr_auc(scores, y[te])
@@ -415,7 +414,7 @@ def knn_adjacency(features: np.ndarray, k_neighbors: int) -> np.ndarray:
     n = features.shape[0]
     if not (0 < k_neighbors < n):
         raise ContractError(f"need 0 < k_neighbors < {n}, got {k_neighbors}")
-    dists = pairwise_distances(features)
+    dists = ad.pairwise_euclidean(features).values
     np.fill_diagonal(dists, np.inf)
     adjacency = np.zeros((n, n))
     neighbor_cols = np.argsort(dists, axis=1, kind="stable")[:, :k_neighbors]

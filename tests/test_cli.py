@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -41,6 +42,63 @@ class TestUsage:
                         "--label-col", "dx", "--out-dir", str(tmp_path / "o")])
         assert code == 2
         assert "error" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--gc-widths", ""],
+        ["train", "--embed-dim", "0"],
+        ["synth-recover", "--iterations", "-1"]])
+    def test_invalid_config_exits_two(self, argv, data_csv, tmp_path, capsys):
+        if argv[0] == "train":
+            argv = [*argv, "--data", str(data_csv), "--label-col", "dx", "--epochs", "2"]
+        assert cli.run([*argv, "--out-dir", str(tmp_path / "o")]) == 2
+        assert "error:" in capsys.readouterr().err
+
+
+def _unset_fields(cfg) -> list[str]:
+    return [f.name for f in dataclasses.fields(cfg) if getattr(cfg, f.name) == f.default]
+
+
+def _assert_every_flag_changed(argv, default_argv):
+    """``argv`` must give every option of its command a non-default value."""
+    parser = cli.build_parser()
+    args, defaults = parser.parse_args(argv), parser.parse_args(default_argv)
+    same = [k for k, v in vars(args).items()
+            if k != "command" and v == getattr(defaults, k)]
+    assert same == []
+    return args
+
+
+class TestEveryConfigFieldHasAFlag:
+    """With every flag set off its default, every config field must be off
+    its default too: a field no caller sets should be a module constant."""
+
+    def test_train_config(self):
+        args = _assert_every_flag_changed(
+            ["train", "--data", "a.csv", "--id-col", "pid", "--label-col", "dx",
+             "--features", "f1,f2", "--quantize-edges", "1,2", "--no-standardize",
+             "--epochs", "7", "--lr", "0.02", "--lr-min", "0.001", "--folds", "3",
+             "--embed-hidden", "5", "--embed-dim", "3", "--gc-widths", "4",
+             "--seed", "9", "--out-dir", "o"],
+            ["train", "--data", "b.csv", "--label-col", "y"])
+        assert _unset_fields(cli._train_config(args)) == []
+
+    def test_recovery_config(self, tmp_path, monkeypatch):
+        from latentgraph import synthetic
+        argv = ["synth-recover", "--nodes", "4", "--dim", "3", "--edge-prob", "0.5",
+                "--iterations", "2", "--seed", "2", "--out-dir", str(tmp_path)]
+        _assert_every_flag_changed(argv, ["synth-recover"])
+        seen = []
+        recover = synthetic.recover_graph
+
+        def recording_recover(targets, cfg):
+            seen.append(cfg)
+            return recover(targets, cfg)
+
+        monkeypatch.setattr(synthetic, "recover_graph", recording_recover)
+        assert cli.run(argv) == 0
+        assert len(seen) == 1
+        assert _unset_fields(seen[0]) == []
 
 
 class TestCrossValidate:

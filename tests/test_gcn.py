@@ -89,10 +89,10 @@ def forward_oracle(x, params):
     t = np.log1p(np.exp(params.edge.raw_temperature.values))
     a = 1.0 / (1.0 + np.exp(-t * (params.edge.threshold.values - d)))
     h = x.copy()
-    for w in params.gcn.gc_weights:
+    for w in params.gc_weights:
         h = np.maximum(a @ h / (a.sum(axis=1, keepdims=True) + 1e-12) @ w.values,
                        0.0)
-    return h @ params.gcn.fc_weight.values + params.gcn.fc_bias.values
+    return h @ params.fc_weight.values + params.fc_bias.values
 
 
 class TestForward:
@@ -101,9 +101,9 @@ class TestForward:
         logits = gcn.forward(x, params).values
         assert logits.shape == (1, 3) and np.all(np.isfinite(logits))
         h = x.copy()
-        for w in params.gcn.gc_weights:
+        for w in params.gc_weights:
             h = np.maximum(h @ w.values, 0.0)  # self-loop normalizes to 1
-        expected = h @ params.gcn.fc_weight.values + params.gcn.fc_bias.values
+        expected = h @ params.fc_weight.values + params.fc_bias.values
         np.testing.assert_allclose(logits, expected, atol=1e-9)
 
     def test_permutation_equivariance(self):
@@ -128,9 +128,9 @@ class TestForward:
             a = gl.soft_adjacency(gl.embed(x, params.embedder), params.edge).values
             logits = gcn.forward(x, params).values
         h = x
-        for w in params.gcn.gc_weights:
+        for w in params.gc_weights:
             h = ad.relu(gcn.gc_layer(a, h, w))
-        expected = ad.add(ad.matmul(h, params.gcn.fc_weight), params.gcn.fc_bias).values
+        expected = ad.add(ad.matmul(h, params.fc_weight), params.fc_bias).values
         np.testing.assert_allclose(logits, expected, rtol=0.0, atol=1e-12)
 
     def test_static_adjacency_path(self):

@@ -9,33 +9,32 @@ RNG = np.random.default_rng(31)
 
 class TestGenerateGraph:
     def test_p_near_one_gives_complete_graph(self):
-        g = syn.generate_graph(8, 0.999999, seed=0)
-        assert np.array_equal(g.adjacency, np.ones((8, 8)) - np.eye(8))
+        a = syn.generate_graph(8, 0.999999, seed=0)
+        assert np.array_equal(a, np.ones((8, 8)) - np.eye(8))
 
     def test_two_nodes_never_isolated(self):
         for seed in range(20):
-            g = syn.generate_graph(2, 0.01, seed=seed)
-            assert g.adjacency.sum(axis=1).min() >= 1
-            assert g.adjacency[0, 1] == g.adjacency[1, 0] == 1.0
+            a = syn.generate_graph(2, 0.01, seed=seed)
+            assert a.sum(axis=1).min() >= 1
+            assert a[0, 1] == a[1, 0] == 1.0
 
     def test_edge_count_in_binomial_99_interval(self):
         # 99% quantiles of Binomial(C(50,2)=1225, 0.2), computed by an
         # exact quantile oracle: [210, 282] around the mean of 245
-        g = syn.generate_graph(50, 0.2, seed=12345)
-        edges = int(g.adjacency.sum() // 2)
+        a = syn.generate_graph(50, 0.2, seed=12345)
+        edges = int(a.sum() // 2)
         assert 210 <= edges <= 282
 
     def test_structure_invariants(self):
-        g = syn.generate_graph(30, 0.15, seed=4)
-        a = g.adjacency
+        a = syn.generate_graph(30, 0.15, seed=4)
         assert np.array_equal(a, a.T)
         assert np.array_equal(np.diag(a), np.zeros(30))
         assert set(np.unique(a)) <= {0.0, 1.0}
         assert a.sum(axis=1).min() >= 1  # repair leaves no isolated node
 
     def test_deterministic(self):
-        a = syn.generate_graph(25, 0.3, seed=7).adjacency
-        b = syn.generate_graph(25, 0.3, seed=7).adjacency
+        a = syn.generate_graph(25, 0.3, seed=7)
+        b = syn.generate_graph(25, 0.3, seed=7)
         assert np.array_equal(a, b)
 
     def test_invalid_arguments(self):
@@ -47,35 +46,34 @@ class TestGenerateGraph:
 
 class TestNeighborSumTargets:
     def test_identity_features_return_adjacency_bits(self):
-        g = syn.generate_graph(12, 0.3, seed=2)
-        targets = syn.neighbor_sum_targets(g, np.eye(12))
-        assert np.array_equal(targets, g.adjacency)
+        a = syn.generate_graph(12, 0.3, seed=2)
+        targets = syn.neighbor_sum_targets(a, np.eye(12))
+        assert np.array_equal(targets, a)
 
     def test_edgeless_graph_gives_zero(self):
-        g = syn.GroundTruthGraph(n=5, adjacency=np.zeros((5, 5)),
-                                 edge_probability=0.0, seed=0)
-        assert np.array_equal(syn.neighbor_sum_targets(g, RNG.normal(size=(5, 5))),
-                              np.zeros((5, 5)))
+        assert np.array_equal(
+            syn.neighbor_sum_targets(np.zeros((5, 5)), RNG.normal(size=(5, 5))),
+            np.zeros((5, 5)))
 
     def test_matches_per_node_loop_oracle(self):
-        g = syn.generate_graph(9, 0.4, seed=6)
+        a = syn.generate_graph(9, 0.4, seed=6)
         x = RNG.normal(size=(9, 4))
         expected = np.zeros((9, 4))
         for i in range(9):
             for j in range(9):
-                if g.adjacency[i, j]:
+                if a[i, j]:
                     expected[i] += x[j]
-        np.testing.assert_allclose(syn.neighbor_sum_targets(g, x), expected,
+        np.testing.assert_allclose(syn.neighbor_sum_targets(a, x), expected,
                                    atol=1e-12)
 
 
 class TestEdgeAgreement:
     def test_identical_binary_matrices(self):
-        g = syn.generate_graph(6, 0.4, seed=1).adjacency
+        g = syn.generate_graph(6, 0.4, seed=1)
         assert syn.edge_agreement(g, g) == 1.0
 
     def test_complement(self):
-        g = syn.generate_graph(6, 0.4, seed=1).adjacency
+        g = syn.generate_graph(6, 0.4, seed=1)
         complement = 1.0 - g
         np.fill_diagonal(complement, 0.0)
         off = ~np.eye(6, dtype=bool)
@@ -83,7 +81,7 @@ class TestEdgeAgreement:
         assert syn.edge_agreement(complement, g) == 0.0
 
     def test_one_wrong_edge_among_twenty(self):
-        g = syn.generate_graph(5, 0.5, seed=3).adjacency
+        g = syn.generate_graph(5, 0.5, seed=3)
         flipped = g.copy()
         flipped[0, 1] = 1.0 - flipped[0, 1]
         assert syn.edge_agreement(flipped, g) == pytest.approx(19.0 / 20.0)
@@ -123,17 +121,35 @@ class TestRecoverGraph:
             syn.recover_graph(np.zeros((3, 4)), syn.RecoveryConfig())
 
 
+class TestRecoveryConfig:
+    @pytest.mark.parametrize("fields", [
+        dict(embedding_dim=0), dict(embedding_dim=-2), dict(iterations=-1)])
+    def test_invalid_fields_rejected(self, fields):
+        with pytest.raises(ContractError):
+            syn.RecoveryConfig(**fields)
+
+    def test_zero_iterations_accepted(self):
+        result = syn.recover_graph(np.zeros((3, 3)), syn.RecoveryConfig(iterations=0))
+        assert result.loss_history == []
+
+    def test_invalid_grid_dimension_rejected_before_any_cell_runs(self, monkeypatch):
+        runs = []
+        monkeypatch.delenv("LATENTGRAPH_WORKERS", raising=False)
+        monkeypatch.setattr(syn, "recover_graph", lambda *args: runs.append(args))
+        with pytest.raises(ContractError):
+            syn.recovery_curves([5], [4, 0], seeds=[0])
+        assert runs == []
+
+
 class TestRecoveryCurves:
     def test_single_cell_equals_single_run(self):
-        # every non-default base setting must reach the cell's run
-        cfg = syn.RecoveryConfig(iterations=150, lr=0.03, hidden=(16,))
+        # the non-default base setting must reach the cell's run
+        cfg = syn.RecoveryConfig(iterations=150)
         cells = syn.recovery_curves([6], [4], seeds=[3], base_cfg=cfg)
         assert len(cells) == 1
-        g = syn.generate_graph(6, 0.3, seed=3)
-        targets = syn.neighbor_sum_targets(g, np.eye(6))
+        targets = syn.neighbor_sum_targets(syn.generate_graph(6, 0.3, seed=3), np.eye(6))
         direct = syn.recover_graph(
-            targets, syn.RecoveryConfig(embedding_dim=4, iterations=150, lr=0.03,
-                                        hidden=(16,), seed=3))
+            targets, syn.RecoveryConfig(embedding_dim=4, iterations=150, seed=3))
         assert cells[0].mse == direct.mse
         assert cells[0].agreement == direct.agreement
 
@@ -173,9 +189,8 @@ class TestClassificationDataset:
         assert np.array_equal(a.y, b.y)
 
     def test_informative_features_carry_cluster_structure(self):
-        ds = syn.make_classification_dataset(n_nodes=120, separation=6.0,
-                                             cluster_std=0.1, seed=0)
+        ds = syn.make_classification_dataset(n_nodes=120, seed=0)
         informative = ds.X[:, :10]
-        # every sample sits on a tight cluster at radius ~separation
+        # every sample sits on a tight cluster (spread 0.1) at radius 6
         norms = np.linalg.norm(informative, axis=1)
         assert np.all(np.abs(norms - 6.0) < 1.0)
