@@ -3,10 +3,13 @@
 Every differentiable operation computes its result eagerly on float64
 numpy buffers and records an adjoint closure on the output tensor. The
 recorded graph is dynamic: it is rebuilt on every forward pass, and
-``backward`` replays the adjoints in reverse execution order. The engine
-is deliberately small; it supports exactly the operations the
-graph-learning models need, all in double precision so that gradients
-can be validated against central finite differences to tight tolerances.
+``backward`` replays the adjoints in reverse execution order. Only
+tensors that depend on a parameter are recorded and get a gradient:
+constants (features, a static adjacency, targets) are never on the tape,
+and their ``grad`` stays None. The engine is deliberately small; it
+supports exactly the operations the graph-learning models need, all in
+double precision so that gradients can be validated against central
+finite differences to tight tolerances.
 """
 
 from __future__ import annotations
@@ -28,10 +31,11 @@ DEGREE_EPS = 1e-12
 class Tensor:
     """Dense float64 array with a gradient buffer and an op record.
 
-    Leaves are built directly from data; tensors produced by the ops in
-    this module additionally carry the name of the producing operation,
-    references to its inputs, and a closure that propagates the output
-    gradient to those inputs.
+    Leaves are built directly from data. An op output that depends on a
+    parameter also carries the op name, the inputs that need a gradient,
+    and a closure that propagates the output gradient to them; any other
+    op output is a constant that never reaches a tape, so ``grad`` stays
+    None.
     """
 
     __slots__ = ("values", "grad", "requires_grad", "op", "parents", "_adjoint")
@@ -68,17 +72,20 @@ def parameter(values) -> Tensor:
     return Tensor(values, requires_grad=True)
 
 
-def _record(values: np.ndarray, op: str, parents: tuple[Tensor, ...],
+def _record(values: np.ndarray, op: str, inputs: tuple[Tensor, ...],
             adjoint: Callable[[np.ndarray], None]) -> Tensor:
+    """The output of ``op``: recorded, with the inputs that need a gradient
+    as ``parents`` (the only ones ``adjoint`` may write to), or, when no
+    input needs one, a constant that never reaches a tape."""
+    # a list comprehension costs less than a generator on this per-op path
+    parents = tuple([t for t in inputs if t.requires_grad])
+    if not parents:
+        return Tensor(values)
     out = Tensor(values, requires_grad=True)
     out.op = op
     out.parents = parents
     out._adjoint = adjoint
     return out
-
-
-def _needs_grad(*tensors: Tensor) -> bool:
-    return any(t.requires_grad for t in tensors)
 
 
 def build_tape(root: Tensor) -> list[Tensor]:
@@ -107,11 +114,11 @@ def build_tape(root: Tensor) -> list[Tensor]:
 
 
 def backward(loss: Tensor) -> None:
-    """Accumulate dLoss/dLeaf into ``grad`` for every reachable tensor.
+    """Accumulate dLoss/dTensor into ``grad`` for every tensor on the tape.
 
-    ``loss`` must be a scalar (shape ``()``). All gradient buffers in the
-    recorded graph are zero-initialized first, so repeated calls do not
-    leak gradients across passes.
+    ``loss`` must be a scalar (shape ``()``). Constants are not on the
+    tape, so their ``grad`` stays None. Every buffer is zero-initialized
+    first, so repeated calls do not leak gradients across passes.
     """
     if loss.values.ndim != 0:
         raise ContractError(
@@ -145,12 +152,12 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     values = a.values + b.values
-    if not _needs_grad(a, b):
-        return Tensor(values)
 
     def adjoint(g: np.ndarray) -> None:
-        a.grad += _unbroadcast(g, a.shape)
-        b.grad += _unbroadcast(g, b.shape)
+        if a.requires_grad:
+            a.grad += _unbroadcast(g, a.shape)
+        if b.requires_grad:
+            b.grad += _unbroadcast(g, b.shape)
 
     return _record(values, "add", (a, b), adjoint)
 
@@ -158,12 +165,12 @@ def add(a, b) -> Tensor:
 def subtract(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     values = a.values - b.values
-    if not _needs_grad(a, b):
-        return Tensor(values)
 
     def adjoint(g: np.ndarray) -> None:
-        a.grad += _unbroadcast(g, a.shape)
-        b.grad -= _unbroadcast(g, b.shape)
+        if a.requires_grad:
+            a.grad += _unbroadcast(g, a.shape)
+        if b.requires_grad:
+            b.grad -= _unbroadcast(g, b.shape)
 
     return _record(values, "subtract", (a, b), adjoint)
 
@@ -172,12 +179,12 @@ def mul(a, b) -> Tensor:
     """Elementwise product with numpy broadcasting."""
     a, b = as_tensor(a), as_tensor(b)
     values = a.values * b.values
-    if not _needs_grad(a, b):
-        return Tensor(values)
 
     def adjoint(g: np.ndarray) -> None:
-        a.grad += _unbroadcast(g * b.values, a.shape)
-        b.grad += _unbroadcast(g * a.values, b.shape)
+        if a.requires_grad:
+            a.grad += _unbroadcast(g * b.values, a.shape)
+        if b.requires_grad:
+            b.grad += _unbroadcast(g * a.values, b.shape)
 
     return _record(values, "mul", (a, b), adjoint)
 
@@ -186,8 +193,6 @@ def scalar_mul(a, c: float) -> Tensor:
     a = as_tensor(a)
     c = float(c)
     values = a.values * c
-    if not a.requires_grad:
-        return Tensor(values)
 
     def adjoint(g: np.ndarray) -> None:
         a.grad += g * c
@@ -199,8 +204,6 @@ def sum_all(a) -> Tensor:
     """Sum of all entries, as a scalar tensor."""
     a = as_tensor(a)
     values = np.asarray(a.values.sum())
-    if not a.requires_grad:
-        return Tensor(values)
 
     def adjoint(g: np.ndarray) -> None:
         a.grad += g
@@ -216,8 +219,6 @@ def relu(a) -> Tensor:
     a = as_tensor(a)
     mask = a.values > 0
     values = np.maximum(a.values, 0.0)  # propagates NaN instead of hiding it
-    if not a.requires_grad:
-        return Tensor(values)
 
     def adjoint(g: np.ndarray) -> None:
         a.grad += g * mask
@@ -240,8 +241,6 @@ def _sigmoid_values(x: np.ndarray) -> np.ndarray:
 def sigmoid(a) -> Tensor:
     a = as_tensor(a)
     values = _sigmoid_values(a.values)
-    if not a.requires_grad:
-        return Tensor(values)
 
     def adjoint(g: np.ndarray) -> None:
         d = np.subtract(1.0, values)
@@ -255,8 +254,6 @@ def sigmoid(a) -> Tensor:
 def tanh(a) -> Tensor:
     a = as_tensor(a)
     values = np.tanh(a.values)
-    if not a.requires_grad:
-        return Tensor(values)
 
     def adjoint(g: np.ndarray) -> None:
         a.grad += g * (1.0 - values * values)
@@ -268,8 +265,6 @@ def softplus(a) -> Tensor:
     """log(1 + exp(x)), stable for large |x|; derivative is sigmoid(x)."""
     a = as_tensor(a)
     values = np.maximum(a.values, 0.0) + np.log1p(np.exp(-np.abs(a.values)))
-    if not a.requires_grad:
-        return Tensor(values)
 
     def adjoint(g: np.ndarray) -> None:
         a.grad += g * _sigmoid_values(a.values)
@@ -287,12 +282,12 @@ def matmul(a, b) -> Tensor:
         raise DimensionError(
             f"matmul requires (m,k) x (k,n) operands, got {a.shape} x {b.shape}")
     values = a.values @ b.values
-    if not _needs_grad(a, b):
-        return Tensor(values)
 
     def adjoint(g: np.ndarray) -> None:
-        a.grad += g @ b.values.T
-        b.grad += a.values.T @ g
+        if a.requires_grad:
+            a.grad += g @ b.values.T
+        if b.requires_grad:
+            b.grad += a.values.T @ g
 
     return _record(values, "matmul", (a, b), adjoint)
 
@@ -317,8 +312,6 @@ def pairwise_euclidean(e) -> Tensor:
     np.maximum(sq, 0.0, out=sq)
     np.fill_diagonal(sq, 0.0)
     values = np.sqrt(sq)
-    if not e.requires_grad:
-        return Tensor(values)
 
     def adjoint(g: np.ndarray) -> None:
         w = sq + DISTANCE_EPS
@@ -349,8 +342,6 @@ def row_normalize(a) -> Tensor:
             f"row_normalize: row {i} has non-positive sum {sums[i]!r}")
     denom = (sums + DEGREE_EPS)[:, None]
     values = a.values / denom
-    if not a.requires_grad:
-        return Tensor(values)
 
     def adjoint(g: np.ndarray) -> None:
         d = np.multiply(g, values)
@@ -365,16 +356,15 @@ def row_normalize(a) -> Tensor:
 def row_softmax_cross_entropy(logits, labels, mask) -> Tensor:
     """Mean softmax cross-entropy over the masked rows of ``logits``.
 
-    ``labels`` holds integer class ids per row; ``mask`` is either a
-    boolean vector or an array of row indices selecting the rows that
-    contribute to the loss. Uses the max-shifted softmax for stability.
+    ``labels`` holds integer class ids per row; ``mask`` selects the rows
+    that contribute to the loss, as :func:`row_indices` reads it. Uses the
+    max-shifted softmax for stability.
     """
     logits = as_tensor(logits)
     if logits.values.ndim != 2:
         raise DimensionError(f"expected (N,C) logits, got {logits.shape}")
     labels = np.asarray(labels)
-    mask = np.asarray(mask)
-    idx = np.flatnonzero(mask) if mask.dtype == bool else mask.astype(np.intp)
+    idx = row_indices(mask, logits.shape[0])
     if idx.size == 0:
         raise ContractError("cross entropy needs at least one masked row")
     y = labels[idx].astype(np.intp)
@@ -387,12 +377,9 @@ def row_softmax_cross_entropy(logits, labels, mask) -> Tensor:
     log_probs = z - np.log(sum_exp)
     losses = -log_probs[np.arange(idx.size), y]
     values = np.asarray(losses.mean())
-    if not logits.requires_grad:
-        return Tensor(values)
-    probs = exp_z / sum_exp
 
     def adjoint(g: np.ndarray) -> None:
-        d = probs.copy()
+        d = exp_z / sum_exp
         d[np.arange(idx.size), y] -= 1.0
         d *= float(g) / idx.size
         full = np.zeros_like(logits.values)
@@ -400,6 +387,20 @@ def row_softmax_cross_entropy(logits, labels, mask) -> Tensor:
         logits.grad += full
 
     return _record(values, "row_softmax_cross_entropy", (logits,), adjoint)
+
+
+def row_indices(mask, n: int) -> np.ndarray:
+    """Indices of the rows ``mask`` selects among ``n``: a boolean vector
+    of ``n`` entries, or row indices in ``[0, n)`` (none counted from the end)."""
+    mask = np.asarray(mask)
+    if mask.dtype == bool:
+        if mask.shape != (n,):
+            raise DimensionError(f"boolean mask of shape {mask.shape} for {n} rows")
+        return np.flatnonzero(mask)
+    idx = mask.astype(np.intp)
+    if np.any(idx < 0) or np.any(idx >= n):
+        raise ContractError(f"row index outside [0, {n})")
+    return idx
 
 
 def softmax_rows(values: np.ndarray) -> np.ndarray:

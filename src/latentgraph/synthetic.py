@@ -119,6 +119,8 @@ def recover_graph(targets: np.ndarray, cfg: RecoveryConfig) -> RecoveryResult:
     if targets.ndim != 2 or targets.shape[0] != targets.shape[1]:
         raise DimensionError(f"targets must be square, got {targets.shape}")
     n = targets.shape[0]
+    if n < 2:
+        raise ContractError(f"need at least 2 nodes, got {n}")
     rng = np.random.default_rng(cfg.seed)
     embedder = gl.init_embedder([n, *RECOVERY_HIDDEN, cfg.embedding_dim], rng)
     features = ad.as_tensor(np.eye(n))

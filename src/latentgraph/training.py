@@ -140,15 +140,6 @@ class EpochRecord:
     val_acc: Optional[float] = None
 
 
-def _as_index_array(mask, n: int) -> np.ndarray:
-    mask = np.asarray(mask)
-    if mask.dtype == bool:
-        if mask.shape[0] != n:
-            raise DimensionError(f"boolean mask length {mask.shape[0]} != {n} nodes")
-        return np.flatnonzero(mask)
-    return mask.astype(np.intp)
-
-
 def train(dataset, cfg: TrainConfig, train_mask=None, val_mask=None,
           adjacency: Optional[np.ndarray] = None):
     """Full-batch training loop.
@@ -161,8 +152,8 @@ def train(dataset, cfg: TrainConfig, train_mask=None, val_mask=None,
     x = np.asarray(dataset.X, dtype=np.float64)
     y = np.asarray(dataset.y)
     n = x.shape[0]
-    train_idx = np.arange(n) if train_mask is None else _as_index_array(train_mask, n)
-    val_idx = None if val_mask is None else _as_index_array(val_mask, n)
+    train_idx = np.arange(n) if train_mask is None else ad.row_indices(train_mask, n)
+    val_idx = None if val_mask is None else ad.row_indices(val_mask, n)
     if np.unique(y[train_idx]).size < 2:
         raise ContractError("training mask must contain at least 2 classes")
     rng = np.random.default_rng(cfg.seed)
@@ -294,7 +285,7 @@ def evaluate(params: gcn.ModelParams, dataset, mask,
     """Accuracy and macro OvR AUC (from softmax probabilities) on ``mask``."""
     x = np.asarray(dataset.X, dtype=np.float64)
     y = np.asarray(dataset.y)
-    idx = _as_index_array(mask, x.shape[0])
+    idx = ad.row_indices(mask, x.shape[0])
     if idx.size == 0:
         raise ContractError("evaluation mask must be non-empty")
     logits = gcn.forward(x, params, adjacency=adjacency)

@@ -192,6 +192,30 @@ class TestBackward:
         assert np.array_equal(w.grad, np.array([4.0, 4.0]))
 
 
+class TestConstantOperands:
+    @pytest.mark.parametrize("op, shape_a, shape_b", [
+        (ad.add, (4, 3), (4, 3)),
+        (ad.add, (4, 3), (1, 3)),  # broadcast bias
+        (ad.subtract, (4, 3), (4, 3)),
+        (ad.subtract, (), (4, 3)),  # scalar
+        (ad.mul, (4, 3), (4, 3)),
+        (ad.matmul, (4, 5), (5, 3)),
+    ], ids=["add", "add_bias", "subtract", "subtract_scalar", "mul", "matmul"])
+    @pytest.mark.parametrize("constant", [0, 1], ids=["constant_a", "constant_b"])
+    def test_constant_gets_no_grad_and_other_grad_is_unchanged(
+            self, op, shape_a, shape_b, constant):
+        values = [RNG.normal(size=shape_a), RNG.normal(size=shape_b)]
+        weight = RNG.normal(size=(4, 3))
+        both = [ad.parameter(v) for v in values]
+        ad.backward(ad.sum_all(ad.mul(op(*both), weight)))
+        inputs = [ad.parameter(v) for v in values]
+        inputs[constant] = ad.as_tensor(values[constant])
+        ad.backward(ad.sum_all(ad.mul(op(*inputs), weight)))
+        assert inputs[constant].grad is None
+        other = 1 - constant
+        assert np.array_equal(inputs[other].grad, both[other].grad)
+
+
 class TestPlumbingOps:
     def test_add_subtract_mul_match_numpy(self):
         a, b = RNG.normal(size=(3, 3)), RNG.normal(size=(3, 3))
@@ -238,6 +262,18 @@ class TestPlumbingOps:
         loss = ad.row_softmax_cross_entropy(logits, labels, mask)
         np.testing.assert_allclose(loss.values, np.mean(expected), atol=1e-12)
 
+    @pytest.mark.parametrize("length", [3, 7])
+    def test_cross_entropy_boolean_mask_of_wrong_length_rejected(self, length):
+        with pytest.raises(DimensionError):
+            ad.row_softmax_cross_entropy(np.zeros((5, 2)), np.zeros(5, dtype=int),
+                                         np.ones(length, dtype=bool))
+
+    @pytest.mark.parametrize("index", [-1, 5])
+    def test_cross_entropy_row_index_outside_rows_rejected(self, index):
+        with pytest.raises(ContractError):
+            ad.row_softmax_cross_entropy(np.zeros((5, 2)), np.zeros(5, dtype=int),
+                                         np.array([0, index]))
+
     def test_cross_entropy_empty_mask_rejected(self):
         with pytest.raises(ContractError):
             ad.row_softmax_cross_entropy(np.zeros((2, 2)), np.zeros(2, dtype=int),
@@ -270,6 +306,16 @@ class TestGradientCorrectness:
         orphans = [name for name in checked
                    if not any(name == op or name.startswith(op + "_") for op in recorded)]
         assert not orphans
+
+    def test_only_leaves_and_record_construct_a_tensor(self):
+        # whether an op output is recorded is decided in _record alone; an
+        # op that builds its own Tensor would fork the gradient rule
+        tree = ast.parse(inspect.getsource(ad))
+        builders = {fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef)
+                    for node in ast.walk(fn)
+                    if isinstance(node, ast.Call)
+                    and getattr(node.func, "id", None) == "Tensor"}
+        assert builders == {"as_tensor", "parameter", "_record"}
 
 
 class TestNumericalHygiene:

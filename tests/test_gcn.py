@@ -8,6 +8,7 @@ from latentgraph import autodiff as ad
 from latentgraph import gcn
 from latentgraph import graph_learning as gl
 from latentgraph.errors import NumericalError
+from latentgraph.training import knn_adjacency
 
 RNG = np.random.default_rng(42)
 
@@ -138,6 +139,28 @@ class TestForward:
         a = np.abs(RNG.normal(size=(10, 10))) + 0.05
         logits = gcn.forward(x, params, adjacency=a).values
         assert np.all(np.isfinite(logits))
+
+
+class TestConstantInputs:
+    def test_learned_graph_leaves_feature_grad_unset(self):
+        x, params = init_small_model()
+        features = ad.as_tensor(x)
+        loss = ad.row_softmax_cross_entropy(gcn.forward(features, params),
+                                            np.arange(10) % 3, np.arange(10))
+        ad.backward(loss)
+        assert features.grad is None
+        assert all(t.grad is not None for t in params.tensors())
+
+    def test_static_graph_puts_no_nxn_tensor_on_the_tape(self):
+        n = 12
+        x = np.random.default_rng(2).normal(size=(n, 4))
+        params = gcn.init_model(x, 3, gc_widths=(5, 4), rng=np.random.default_rng(3),
+                                learn_graph=False)
+        logits = gcn.forward(x, params, adjacency=knn_adjacency(x, 3))
+        loss = ad.row_softmax_cross_entropy(logits, np.arange(n) % 3, np.arange(n))
+        assert [t.shape for t in ad.build_tape(loss) if t.shape == (n, n)] == []
+        ad.backward(loss)
+        assert all(t.grad is not None for t in params.tensors())
 
 
 class TestPredict:

@@ -120,6 +120,11 @@ class TestRecoverGraph:
         with pytest.raises(DimensionError):
             syn.recover_graph(np.zeros((3, 4)), syn.RecoveryConfig())
 
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fewer_than_two_nodes_rejected(self, n):
+        with pytest.raises(ContractError):
+            syn.recover_graph(np.zeros((n, n)), syn.RecoveryConfig())
+
 
 class TestRecoveryConfig:
     @pytest.mark.parametrize("fields", [

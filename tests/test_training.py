@@ -289,6 +289,11 @@ class TestEvaluate:
         with pytest.raises(ContractError):
             tr.evaluate(params, blobs, np.array([], dtype=int))
 
+    def test_negative_row_index_rejected(self, blobs):
+        params, _ = tr.train(blobs, tr.TrainConfig(seed=0, epochs=0))
+        with pytest.raises(ContractError):
+            tr.evaluate(params, blobs, [-1])
+
 
 class TestCrossValidate:
     def test_reproducible_and_aggregated(self, blobs):
