@@ -6,7 +6,10 @@ recorded graph is dynamic: it is rebuilt on every forward pass, and
 ``backward`` replays the adjoints in reverse execution order. Only
 tensors that depend on a parameter are recorded and get a gradient:
 constants (features, a static adjacency, targets) are never on the tape,
-and their ``grad`` stays None. The engine is deliberately small; it
+and their ``grad`` stays None. A tensor's first gradient contribution
+becomes its buffer and later ones are added into it; a recorded tensor's
+gradient is released once its adjoint has run, so after ``backward`` only
+the leaves and the root hold one. The engine is deliberately small; it
 supports exactly the operations the graph-learning models need, all in
 double precision so that gradients can be validated against central
 finite differences to tight tolerances.
@@ -114,24 +117,37 @@ def build_tape(root: Tensor) -> list[Tensor]:
 
 
 def backward(loss: Tensor) -> None:
-    """Accumulate dLoss/dTensor into ``grad`` for every tensor on the tape.
+    """Compute dLoss/dTensor for every tensor on the tape.
 
     ``loss`` must be a scalar (shape ``()``). Constants are not on the
-    tape, so their ``grad`` stays None. Every buffer is zero-initialized
-    first, so repeated calls do not leak gradients across passes.
+    tape, so their ``grad`` stays None. Every ``grad`` on the tape is
+    cleared first, so repeated calls do not leak gradients across passes.
+    The first contribution a tensor receives becomes its buffer. A
+    recorded tensor's gradient is released as soon as its adjoint has run,
+    so afterwards only the leaves hold a gradient, and ``loss.grad`` is 1.
     """
     if loss.values.ndim != 0:
         raise ContractError(
             f"backward requires a scalar loss, got shape {loss.shape}")
     tape = build_tape(loss)
     for t in tape:
-        # np.zeros takes pages the OS already zeroed (calloc); large
-        # buffers are written only when an adjoint first touches them
-        t.grad = np.zeros(t.values.shape)
-    loss.grad = np.ones_like(loss.values)
+        t.grad = None
+    loss.grad = np.ones(())
     for t in reversed(tape):
         if t._adjoint is not None:
-            t._adjoint(t.grad)
+            g, t.grad = t.grad, None
+            t._adjoint(g)
+    # the root's first buffer may now belong to a parent
+    loss.grad = np.ones(())
+
+
+def _accumulate(t: Tensor, g: np.ndarray) -> None:
+    """Add the contribution ``g`` to ``t.grad``. The first one becomes the
+    buffer itself, so an adjoint passes only a ``g`` nothing else holds."""
+    if t.grad is None:
+        t.grad = g
+    else:
+        t.grad += g
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -155,9 +171,11 @@ def add(a, b) -> Tensor:
 
     def adjoint(g: np.ndarray) -> None:
         if a.requires_grad:
-            a.grad += _unbroadcast(g, a.shape)
+            _accumulate(a, _unbroadcast(g, a.shape))
         if b.requires_grad:
-            b.grad += _unbroadcast(g, b.shape)
+            gb = _unbroadcast(g, b.shape)
+            # a may have taken g as its buffer; b must not share it
+            _accumulate(b, gb.copy() if gb is a.grad else gb)
 
     return _record(values, "add", (a, b), adjoint)
 
@@ -168,9 +186,9 @@ def subtract(a, b) -> Tensor:
 
     def adjoint(g: np.ndarray) -> None:
         if a.requires_grad:
-            a.grad += _unbroadcast(g, a.shape)
+            _accumulate(a, _unbroadcast(g, a.shape))
         if b.requires_grad:
-            b.grad -= _unbroadcast(g, b.shape)
+            _accumulate(b, np.negative(_unbroadcast(g, b.shape)))
 
     return _record(values, "subtract", (a, b), adjoint)
 
@@ -182,9 +200,9 @@ def mul(a, b) -> Tensor:
 
     def adjoint(g: np.ndarray) -> None:
         if a.requires_grad:
-            a.grad += _unbroadcast(g * b.values, a.shape)
+            _accumulate(a, _unbroadcast(g * b.values, a.shape))
         if b.requires_grad:
-            b.grad += _unbroadcast(g * a.values, b.shape)
+            _accumulate(b, _unbroadcast(g * a.values, b.shape))
 
     return _record(values, "mul", (a, b), adjoint)
 
@@ -195,7 +213,7 @@ def scalar_mul(a, c: float) -> Tensor:
     values = a.values * c
 
     def adjoint(g: np.ndarray) -> None:
-        a.grad += g * c
+        _accumulate(a, g * c)
 
     return _record(values, "scalar_mul", (a,), adjoint)
 
@@ -206,7 +224,7 @@ def sum_all(a) -> Tensor:
     values = np.asarray(a.values.sum())
 
     def adjoint(g: np.ndarray) -> None:
-        a.grad += g
+        _accumulate(a, np.full(a.shape, g))
 
     return _record(values, "sum_all", (a,), adjoint)
 
@@ -221,7 +239,7 @@ def relu(a) -> Tensor:
     values = np.maximum(a.values, 0.0)  # propagates NaN instead of hiding it
 
     def adjoint(g: np.ndarray) -> None:
-        a.grad += g * mask
+        _accumulate(a, g * mask)
 
     return _record(values, "relu", (a,), adjoint)
 
@@ -246,7 +264,7 @@ def sigmoid(a) -> Tensor:
         d = np.subtract(1.0, values)
         d *= values
         d *= g
-        a.grad += d
+        _accumulate(a, d)
 
     return _record(values, "sigmoid", (a,), adjoint)
 
@@ -256,7 +274,7 @@ def tanh(a) -> Tensor:
     values = np.tanh(a.values)
 
     def adjoint(g: np.ndarray) -> None:
-        a.grad += g * (1.0 - values * values)
+        _accumulate(a, g * (1.0 - values * values))
 
     return _record(values, "tanh", (a,), adjoint)
 
@@ -267,7 +285,7 @@ def softplus(a) -> Tensor:
     values = np.maximum(a.values, 0.0) + np.log1p(np.exp(-np.abs(a.values)))
 
     def adjoint(g: np.ndarray) -> None:
-        a.grad += g * _sigmoid_values(a.values)
+        _accumulate(a, g * _sigmoid_values(a.values))
 
     return _record(values, "softplus", (a,), adjoint)
 
@@ -285,9 +303,9 @@ def matmul(a, b) -> Tensor:
 
     def adjoint(g: np.ndarray) -> None:
         if a.requires_grad:
-            a.grad += g @ b.values.T
+            _accumulate(a, g @ b.values.T)
         if b.requires_grad:
-            b.grad += a.values.T @ g
+            _accumulate(b, a.values.T @ g)
 
     return _record(values, "matmul", (a, b), adjoint)
 
@@ -311,17 +329,20 @@ def pairwise_euclidean(e) -> Tensor:
     sq -= 2.0 * (v @ v.T)
     np.maximum(sq, 0.0, out=sq)
     np.fill_diagonal(sq, 0.0)
-    values = np.sqrt(sq)
+    values = np.sqrt(sq, out=sq)
 
     def adjoint(g: np.ndarray) -> None:
-        w = sq + DISTANCE_EPS
+        # sqrt(d^2 + eps) rebuilt from the distances, so no squared
+        # distances outlive the forward pass
+        w = np.multiply(values, values)
+        w += DISTANCE_EPS
         np.sqrt(w, out=w)
         np.divide(g, w, out=w)
         np.fill_diagonal(w, 0.0)  # diagonal is constant 0, no gradient
         # d_ij depends on rows i and j alike: pull w and w.T through
         # without forming w + w.T
         degree = w.sum(axis=1) + w.sum(axis=0)
-        e.grad += degree[:, None] * v - (w @ v + w.T @ v)
+        _accumulate(e, degree[:, None] * v - (w @ v + w.T @ v))
 
     return _record(values, "pairwise_euclidean", (e,), adjoint)
 
@@ -348,7 +369,7 @@ def row_normalize(a) -> Tensor:
         row_dot = d.sum(axis=1, keepdims=True)
         np.subtract(g, row_dot, out=d)
         d /= denom
-        a.grad += d
+        _accumulate(a, d)
 
     return _record(values, "row_normalize", (a,), adjoint)
 
@@ -364,6 +385,9 @@ def row_softmax_cross_entropy(logits, labels, mask) -> Tensor:
     if logits.values.ndim != 2:
         raise DimensionError(f"expected (N,C) logits, got {logits.shape}")
     labels = np.asarray(labels)
+    if labels.shape != logits.shape[:1]:
+        raise DimensionError(
+            f"labels of shape {labels.shape} for {logits.shape[0]} logits rows")
     idx = row_indices(mask, logits.shape[0])
     if idx.size == 0:
         raise ContractError("cross entropy needs at least one masked row")
@@ -384,19 +408,22 @@ def row_softmax_cross_entropy(logits, labels, mask) -> Tensor:
         d *= float(g) / idx.size
         full = np.zeros_like(logits.values)
         full[idx] = d
-        logits.grad += full
+        _accumulate(logits, full)
 
     return _record(values, "row_softmax_cross_entropy", (logits,), adjoint)
 
 
 def row_indices(mask, n: int) -> np.ndarray:
     """Indices of the rows ``mask`` selects among ``n``: a boolean vector
-    of ``n`` entries, or row indices in ``[0, n)`` (none counted from the end)."""
+    of ``n`` entries, or integer row indices in ``[0, n)`` (none counted
+    from the end)."""
     mask = np.asarray(mask)
     if mask.dtype == bool:
         if mask.shape != (n,):
             raise DimensionError(f"boolean mask of shape {mask.shape} for {n} rows")
         return np.flatnonzero(mask)
+    if not np.issubdtype(mask.dtype, np.integer):
+        raise ContractError(f"row indices must be integers, got dtype {mask.dtype}")
     idx = mask.astype(np.intp)
     if np.any(idx < 0) or np.any(idx >= n):
         raise ContractError(f"row index outside [0, {n})")

@@ -85,7 +85,7 @@ def gc_layer(adjacency, features, weight) -> Tensor:
     a = ad.as_tensor(adjacency)
     h = ad.as_tensor(features)
     _check_adjacency(a, h)
-    return ad.matmul(ad.matmul(ad.row_normalize(a), h), weight)
+    return ad.matmul(ad.row_normalize(a), ad.matmul(h, weight))
 
 
 def forward(features, params: ModelParams, adjacency=None) -> Tensor:
@@ -111,7 +111,7 @@ def forward(features, params: ModelParams, adjacency=None) -> Tensor:
     operator = ad.row_normalize(a)
     h = x
     for w in params.gc_weights:
-        h = ad.relu(ad.matmul(ad.matmul(operator, h), w))
+        h = ad.relu(ad.matmul(operator, ad.matmul(h, w)))
     return ad.add(ad.matmul(h, params.fc_weight), params.fc_bias)
 
 

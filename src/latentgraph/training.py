@@ -176,6 +176,8 @@ def train(dataset, cfg: TrainConfig, train_mask=None, val_mask=None,
         ad.backward(loss)
         adam_step(state, lr)
         preds = gcn.predict(logits)
+        # free this epoch's tape before the next forward builds one
+        del logits, loss
         train_acc = float(np.mean(preds[train_idx] == y[train_idx]))
         val_acc = None
         if val_idx is not None:

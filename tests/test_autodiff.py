@@ -191,6 +191,43 @@ class TestBackward:
         ad.backward(loss)
         assert np.array_equal(w.grad, np.array([4.0, 4.0]))
 
+    @pytest.mark.parametrize("extra", ["a", "b"])
+    @pytest.mark.parametrize("branch_first", [True, False])
+    def test_add_operands_do_not_share_a_gradient_buffer(self, extra, branch_first):
+        # add passes its output gradient straight through; when both of its
+        # distinct parameters take it as their first contribution, a later
+        # contribution to one of them must not reach the other
+        p = ad.parameter(RNG.normal(size=(3, 2)))
+        q = ad.parameter(RNG.normal(size=(3, 2)))
+        w1, w2 = RNG.normal(size=(3, 2)), RNG.normal(size=(3, 2))
+        target = p if extra == "a" else q
+        if branch_first:
+            branch = ad.mul(ad.scalar_mul(target, 3.0), w2)
+            joint = ad.mul(ad.add(p, q), w1)
+        else:
+            joint = ad.mul(ad.add(p, q), w1)
+            branch = ad.mul(ad.scalar_mul(target, 3.0), w2)
+        loss = ad.sum_all(ad.add(joint, branch))
+        ad.backward(loss)
+        other = q if extra == "a" else p
+        np.testing.assert_allclose(target.grad, w1 + 3.0 * w2, rtol=1e-15)
+        assert np.array_equal(other.grad, w1)
+
+    def test_root_passed_through_keeps_unit_grad(self):
+        # the root's gradient reaches p and q through two adds
+        p = ad.parameter(np.asarray(1.5))
+        q = ad.parameter(np.asarray(-2.0))
+        loss = ad.add(ad.add(p, q), ad.scalar_mul(p, 2.0))
+        for _ in range(2):
+            ad.backward(loss)
+            assert loss.grad == 1.0
+            assert p.grad == 3.0 and q.grad == 1.0
+
+    def test_subtract_of_a_tensor_from_itself_gives_zero(self):
+        w = ad.parameter(RNG.normal(size=(2, 3)))
+        ad.backward(ad.sum_all(ad.mul(ad.subtract(w, w), RNG.normal(size=(2, 3)))))
+        assert np.array_equal(w.grad, np.zeros((2, 3)))
+
 
 class TestConstantOperands:
     @pytest.mark.parametrize("op, shape_a, shape_b", [
@@ -273,6 +310,16 @@ class TestPlumbingOps:
         with pytest.raises(ContractError):
             ad.row_softmax_cross_entropy(np.zeros((5, 2)), np.zeros(5, dtype=int),
                                          np.array([0, index]))
+
+    def test_cross_entropy_labels_of_wrong_length_rejected(self):
+        with pytest.raises(DimensionError, match="labels"):
+            ad.row_softmax_cross_entropy(np.zeros((5, 2)), np.zeros(3, dtype=int),
+                                         np.arange(5))
+
+    @pytest.mark.parametrize("mask", [[0.7, 2.9], [0.0, 2.0]])
+    def test_row_indices_reject_non_integer_indices(self, mask):
+        with pytest.raises(ContractError, match="integers"):
+            ad.row_indices(np.array(mask), 5)
 
     def test_cross_entropy_empty_mask_rejected(self):
         with pytest.raises(ContractError):

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latentgraph import autodiff as ad
+from latentgraph import gcn, synthetic
 from latentgraph import training as tr
 from latentgraph.data_io import TabularDataset
 from latentgraph.errors import ContractError, DataError, DimensionError, NumericalError
@@ -265,6 +268,40 @@ class TestTrain:
             losses = [r.loss for r in history]
             diffs.append(np.median(losses[-window:]) < np.median(losses[:window]))
         assert all(diffs)
+
+    def test_training_step_holds_at_most_nine_nxn_buffers(self, monkeypatch):
+        # the model of the train_n2000 benchmark at N=400; one N x N float64
+        # buffer is 8 * N^2 bytes. A step runs from the end of one Adam
+        # update to the end of the next, so a tape kept from the previous
+        # epoch counts against the next step.
+        n = 400
+        dataset = synthetic.make_classification_dataset(n_nodes=n, seed=0)
+        cfg = tr.TrainConfig(epochs=3, embed_hidden=(), embed_dim=16, gc_widths=(16, 8))
+        forward, adam_step = gcn.forward, tr.adam_step
+        held_before = []
+        peaks = []
+
+        def marked_forward(*args, **kwargs):
+            if not held_before:  # lazy imports and parameters, not the step
+                held_before.append(tracemalloc.get_traced_memory()[0])
+                tracemalloc.reset_peak()
+            return forward(*args, **kwargs)
+
+        def traced_adam_step(state, lr):
+            adam_step(state, lr)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
+
+        monkeypatch.setattr(gcn, "forward", marked_forward)
+        monkeypatch.setattr(tr, "adam_step", traced_adam_step)
+        tracemalloc.start()
+        try:
+            tr.train(dataset, cfg, np.arange(n)[: n * 9 // 10])
+        finally:
+            tracemalloc.stop()
+        assert len(peaks) == cfg.epochs
+        buffers = (max(peaks) - held_before[0]) / (8.0 * n * n)
+        assert buffers <= 9.0, f"{buffers:.2f} N x N buffers"
 
 
 class TestEvaluate:
