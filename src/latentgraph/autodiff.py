@@ -377,7 +377,8 @@ def row_normalize(a) -> Tensor:
 def row_softmax_cross_entropy(logits, labels, mask) -> Tensor:
     """Mean softmax cross-entropy over the masked rows of ``logits``.
 
-    ``labels`` holds integer class ids per row; ``mask`` selects the rows
+    ``labels`` holds integer class ids per row (any other dtype raises
+    ContractError rather than being truncated); ``mask`` selects the rows
     that contribute to the loss, as :func:`row_indices` reads it. Uses the
     max-shifted softmax for stability.
     """
@@ -385,6 +386,8 @@ def row_softmax_cross_entropy(logits, labels, mask) -> Tensor:
     if logits.values.ndim != 2:
         raise DimensionError(f"expected (N,C) logits, got {logits.shape}")
     labels = np.asarray(labels)
+    if not np.issubdtype(labels.dtype, np.integer):
+        raise ContractError(f"labels must be integers, got dtype {labels.dtype}")
     if labels.shape != logits.shape[:1]:
         raise DimensionError(
             f"labels of shape {labels.shape} for {logits.shape[0]} logits rows")

@@ -33,42 +33,36 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _int_list(text: str) -> list[int]:
-    try:
-        return [int(v) for v in text.split(",") if v.strip() != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+def _list_of(kind, noun: str):
+    """argparse type: comma-separated values of ``kind``."""
+    def parse(text: str) -> list:
+        try:
+            return [kind(v) for v in text.split(",") if v.strip() != ""]
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated {noun}, got {text!r}")
+    return parse
 
 
-def _float_list(text: str) -> list[float]:
-    try:
-        return [float(v) for v in text.split(",") if v.strip() != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
-
-
-def _add_data_flags(p: argparse.ArgumentParser, label_required: bool = True) -> None:
+def _add_model_flags(p: argparse.ArgumentParser) -> None:
+    """The data and training flags of every command that trains the model."""
     p.add_argument("--data", required=True, help="input CSV with a header row")
     p.add_argument("--id-col", default="id", help="node id column (default: id)")
-    p.add_argument("--label-col", required=label_required, default=None,
-                   help="label column name")
+    p.add_argument("--label-col", required=True, help="label column name")
     p.add_argument("--features", default="rest",
                    help="comma-separated feature columns, or 'rest' (default)")
-    p.add_argument("--quantize-edges", type=_float_list, default=None,
+    p.add_argument("--quantize-edges", type=_list_of(float, "numbers"), default=None,
                    help="bin edges to quantize a continuous label column")
     p.add_argument("--no-standardize", action="store_true",
                    help="skip per-column standardization of the features")
-
-
-def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--epochs", type=int, default=600)
     p.add_argument("--lr", type=float, default=0.01)
     p.add_argument("--lr-min", type=float, default=0.0001)
     p.add_argument("--folds", type=int, default=10)
-    p.add_argument("--embed-hidden", type=_int_list, default=[64],
+    p.add_argument("--embed-hidden", type=_list_of(int, "integers"), default=[64],
                    help="comma-separated hidden widths of the embedding MLP")
     p.add_argument("--embed-dim", type=int, default=16)
-    p.add_argument("--gc-widths", type=_int_list, default=[16, 8],
+    p.add_argument("--gc-widths", type=_list_of(int, "integers"), default=[16, 8],
                    help="comma-separated graph-convolution layer widths")
 
 
@@ -84,13 +78,11 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("train", parents=[common],
                        help="train on all labeled rows, write history")
-    _add_data_flags(p)
-    _add_train_flags(p)
+    _add_model_flags(p)
 
     p = sub.add_parser("cross-validate", parents=[common],
                        help="stratified k-fold CV; prints accuracy and AUC")
-    _add_data_flags(p)
-    _add_train_flags(p)
+    _add_model_flags(p)
     p.add_argument("--with-baselines", action="store_true",
                    help="also report ridge and static-kNN-graph baselines")
     p.add_argument("--knn-k", type=int, default=10,
@@ -98,15 +90,13 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("infer", parents=[common],
                        help="train, then predict labels for unseen rows")
-    _add_data_flags(p)
-    _add_train_flags(p)
+    _add_model_flags(p)
     p.add_argument("--test-data", required=True,
                    help="CSV of unseen rows (same feature columns; label optional)")
 
     p = sub.add_parser("export-graph", parents=[common],
                        help="train, then export the learned adjacency as CSV")
-    _add_data_flags(p)
-    _add_train_flags(p)
+    _add_model_flags(p)
 
     p = sub.add_parser("synth-recover", parents=[common],
                        help="recover a random graph from neighbor-sum targets")
@@ -117,8 +107,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("synth-curves", parents=[common],
                        help="recovery error over node-count/dimension grids")
-    p.add_argument("--nodes", type=_int_list, default=[5, 10, 20])
-    p.add_argument("--dims", type=_int_list, default=[2, 8, 16])
+    p.add_argument("--nodes", type=_list_of(int, "integers"), default=[5, 10, 20])
+    p.add_argument("--dims", type=_list_of(int, "integers"), default=[2, 8, 16])
     p.add_argument("--seeds", type=int, default=5, help="seeds per cell")
     p.add_argument("--edge-prob", type=float, default=0.3)
     p.add_argument("--iterations", type=int, default=2000)
@@ -317,10 +307,7 @@ def run(argv: Sequence[str]) -> int:
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](args, out_dir)
-    except LatentGraphError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (LatentGraphError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -69,7 +69,8 @@ def load_csv(path, schema: CsvSchema,
     (numerically when every label parses as a number); when
     ``quantize_edges`` is given, labels are parsed as floats and binned
     first. Malformed feature cells raise a ParseError naming the file
-    line and column.
+    line and column, as does an explicit feature list that names the id
+    or label column, or one column twice.
     """
     path = Path(path)
     try:
@@ -98,6 +99,12 @@ def load_csv(path, schema: CsvSchema,
                          if i != id_idx and i != label_idx]
     else:
         feature_names = list(schema.feature_cols)
+        for name in feature_names:
+            if name in (schema.id_col, schema.label_col):
+                raise ParseError(
+                    f"{path}: feature column {name!r} is the id or label column")
+            if feature_names.count(name) > 1:
+                raise ParseError(f"{path}: feature column {name!r} is named twice")
     feature_idx = [column(name) for name in feature_names]
     if not feature_names:
         raise ParseError(f"{path}: no feature columns selected")

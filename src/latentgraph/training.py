@@ -235,18 +235,10 @@ class CVMetrics:
 
 
 def _average_ranks(scores: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties sharing the average rank."""
-    order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(scores.size, dtype=np.float64)
-    sorted_scores = scores[order]
-    i = 0
-    while i < scores.size:
-        j = i
-        while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    """1-based ranks with ties sharing the average rank: a group of tied
+    scores ending at sorted position ``end`` spans ``end - count + 1 .. end``."""
+    _, group, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - 0.5 * (counts - 1))[group]
 
 
 def binary_auc(scores, positives) -> Optional[float]:

@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from latentgraph import autodiff as ad
+from latentgraph import gcn
 from latentgraph.errors import ContractError, DimensionError, NumericalError
-from latentgraph.gradcheck import op_checks
+from latentgraph.gradcheck import (END_TO_END_TOLERANCE, OP_TOLERANCE,
+                                   end_to_end_check, op_checks, relative_error)
 
 RNG = np.random.default_rng(1234)
 
@@ -316,6 +318,12 @@ class TestPlumbingOps:
             ad.row_softmax_cross_entropy(np.zeros((5, 2)), np.zeros(3, dtype=int),
                                          np.arange(5))
 
+    def test_cross_entropy_rejects_non_integer_labels(self):
+        # truncating would score these as classes 0, 1, 2
+        with pytest.raises(ContractError, match="integers"):
+            ad.row_softmax_cross_entropy(np.zeros((3, 3)), np.array([0.9, 1.5, 2.7]),
+                                         np.ones(3, dtype=bool))
+
     @pytest.mark.parametrize("mask", [[0.7, 2.9], [0.0, 2.0]])
     def test_row_indices_reject_non_integer_indices(self, mask):
         with pytest.raises(ContractError, match="integers"):
@@ -339,6 +347,40 @@ class TestGradientCorrectness:
         results = op_checks(seed=7, instances=10)
         for name, err in results.items():
             assert err < 1e-4, f"{name}: {err}"
+
+    @pytest.fixture
+    def skewed_sigmoid_adjoint(self, monkeypatch):
+        # every sigmoid records an adjoint that is 1% too large
+        record = ad._record
+
+        def skewed(values, op, inputs, adjoint):
+            if op == "sigmoid":
+                return record(values, op, inputs, lambda g: adjoint(1.01 * g))
+            return record(values, op, inputs, adjoint)
+
+        monkeypatch.setattr(ad, "_record", skewed)
+
+    def test_wrong_adjoint_is_reported(self, skewed_sigmoid_adjoint):
+        results = op_checks(seed=0, instances=2)
+        assert results["sigmoid"] > OP_TOLERANCE
+        assert results["row_normalize"] > OP_TOLERANCE  # built on a sigmoid
+        assert results["matmul"] < OP_TOLERANCE
+        assert end_to_end_check(seed=0, instances=2) > END_TO_END_TOLERANCE
+
+    def test_relative_error_leaves_parameters_untouched(self):
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(7, 4))
+        y = rng.integers(0, 3, size=7)
+        params = gcn.init_model(x, 3, embed_hidden=(5,), embed_dim=3,
+                                gc_widths=(4,), rng=rng)
+        tensors = params.tensors()
+        before = [t.values.copy() for t in tensors]
+        error = relative_error(
+            lambda: ad.row_softmax_cross_entropy(gcn.forward(x, params), y, np.arange(5)),
+            tensors)
+        assert error < END_TO_END_TOLERANCE
+        for t, values in zip(tensors, before):
+            assert np.array_equal(t.values, values)
 
     def test_every_recorded_op_has_a_check(self):
         # op names passed to _record in autodiff: each needs a gradcheck

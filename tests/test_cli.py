@@ -43,6 +43,17 @@ class TestUsage:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    def test_label_among_features_exits_two(self, tmp_path, capsys):
+        # numeric labels parse as a feature, so nothing else stops the run
+        blobs = make_blobs(n_per_class=15, seed=3)
+        blobs.class_names = ["0", "1"]
+        path = tmp_path / "numeric.csv"
+        write_dataset_csv(path, blobs)
+        code = cli.run(["train", "--data", str(path), "--label-col", "dx",
+                        "--features", "dx,f1,f1", "--epochs", "2",
+                        "--out-dir", str(tmp_path / "o")])
+        assert code == 2
+        assert "'dx' is the id or label column" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["train", "--gc-widths", ""],

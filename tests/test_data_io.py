@@ -69,6 +69,17 @@ class TestLoadCsv:
         assert ds.feature_names == ["f3", "f1"]
         assert np.array_equal(ds.X, [[3, 1], [6, 4]])
 
+    @pytest.mark.parametrize("features, message", [
+        (["dx", "f1"], "'dx' is the id or label column"),
+        (["f1", "id"], "'id' is the id or label column"),
+        (["f1", "f2", "f1"], "'f1' is named twice")])
+    def test_explicit_features_exclude_id_label_and_repeats(self, tmp_path,
+                                                            features, message):
+        path = write(tmp_path, "id,dx,f1,f2\np1,a,1,2\np2,b,4,5\n")
+        with pytest.raises(ParseError, match=message):
+            data_io.load_csv(path, CsvSchema(id_col="id", label_col="dx",
+                                             feature_cols=features))
+
     def test_unlabeled_schema(self, tmp_path):
         path = write(tmp_path, "id,f1\np1,1\np2,2\n")
         ds = data_io.load_csv(path, CsvSchema(id_col="id", label_col=None))

@@ -183,6 +183,20 @@ def pair_count_auc(scores, positives):
     return total / (pos.size * neg.size)
 
 
+def tie_loop_ranks(scores):
+    """1-based average ranks by walking each run of ties in sorted order."""
+    order = np.argsort(scores, kind="mergesort")
+    ranks = np.empty(scores.size)
+    i = 0
+    while i < scores.size:
+        j = i
+        while j + 1 < scores.size and scores[order[j + 1]] == scores[order[i]]:
+            j += 1
+        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
 class TestAuc:
     def test_perfect_scores(self):
         scores = np.array([0.9, 0.8, 0.2, 0.1])
@@ -216,6 +230,12 @@ class TestAuc:
             assert got is None
         else:
             assert abs(got - expected) < 1e-12
+
+    @given(st.lists(st.sampled_from([-0.0, 0.0, 0.25, 0.5, 1.0]), min_size=1, max_size=12))
+    @settings(max_examples=40, deadline=None)
+    def test_average_ranks_match_tie_loop(self, score_list):
+        scores = np.array(score_list)
+        assert np.array_equal(tr._average_ranks(scores), tie_loop_ranks(scores))
 
     def test_single_class_mask_gives_none(self):
         assert tr.binary_auc(np.array([1.0, 2.0]), np.array([True, True])) is None
