@@ -8,11 +8,12 @@ tensors that depend on a parameter are recorded and get a gradient:
 constants (features, a static adjacency, targets) are never on the tape,
 and their ``grad`` stays None. A tensor's first gradient contribution
 becomes its buffer and later ones are added into it; a recorded tensor's
-gradient is released once its adjoint has run, so after ``backward`` only
-the leaves and the root hold one. The engine is deliberately small; it
-supports exactly the operations the graph-learning models need, all in
-double precision so that gradients can be validated against central
-finite differences to tight tolerances.
+gradient is released when its adjoint runs, and the adjoint may overwrite
+it, so after ``backward`` only the leaves and the root hold one. The N x N
+kernels make their passes over row blocks that stay in cache. The engine
+is deliberately small; it supports exactly the operations the
+graph-learning models need, all in double precision so that gradients can
+be validated against central finite differences to tight tolerances.
 """
 
 from __future__ import annotations
@@ -29,6 +30,11 @@ DISTANCE_EPS = 1e-12
 
 # Guard added to row sums before normalization.
 DEGREE_EPS = 1e-12
+
+# N x N kernels make several passes over each block of about this many
+# bytes of rows while it is still in cache, instead of each pass streaming
+# the whole array through memory.
+BLOCK_BYTES = 1 << 18
 
 
 class Tensor:
@@ -123,8 +129,10 @@ def backward(loss: Tensor) -> None:
     tape, so their ``grad`` stays None. Every ``grad`` on the tape is
     cleared first, so repeated calls do not leak gradients across passes.
     The first contribution a tensor receives becomes its buffer. A
-    recorded tensor's gradient is released as soon as its adjoint has run,
-    so afterwards only the leaves hold a gradient, and ``loss.grad`` is 1.
+    recorded tensor's gradient is released before its adjoint runs, so
+    the adjoint owns the ``g`` it receives and may overwrite it, for
+    instance to hand it on as its input's gradient. Afterwards only the
+    leaves hold a gradient, and ``loss.grad`` is 1.
     """
     if loss.values.ndim != 0:
         raise ContractError(
@@ -143,11 +151,25 @@ def backward(loss: Tensor) -> None:
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
     """Add the contribution ``g`` to ``t.grad``. The first one becomes the
-    buffer itself, so an adjoint passes only a ``g`` nothing else holds."""
+    buffer itself, so an adjoint passes only a ``g`` nothing else holds,
+    and the adjoint that later receives that buffer may overwrite it."""
     if t.grad is None:
         t.grad = g
     else:
         t.grad += g
+
+
+def _by_row_blocks(kernel: Callable[..., None], *arrays: np.ndarray) -> None:
+    """Run ``kernel`` on matching row blocks of ``arrays``, each block of
+    the first array about ``BLOCK_BYTES``; an array that fits in one block
+    is passed whole."""
+    first = arrays[0]
+    if first.nbytes <= BLOCK_BYTES:
+        kernel(*arrays)
+        return
+    step = max(1, BLOCK_BYTES // first[0].nbytes)
+    for i in range(0, first.shape[0], step):
+        kernel(*[x[i:i + step] for x in arrays])
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -185,10 +207,16 @@ def subtract(a, b) -> Tensor:
     values = a.values - b.values
 
     def adjoint(g: np.ndarray) -> None:
+        ga = None
         if a.requires_grad:
-            _accumulate(a, _unbroadcast(g, a.shape))
+            ga = _unbroadcast(g, a.shape)
+            _accumulate(a, ga)
         if b.requires_grad:
-            _accumulate(b, np.negative(_unbroadcast(g, b.shape)))
+            gb = _unbroadcast(g, b.shape)
+            # g is this adjoint's own to negate in place, unless a took it
+            # as its buffer or it is 0-d (a numpy scalar has no buffer)
+            in_place = gb is g and ga is not g and g.ndim
+            _accumulate(b, np.negative(gb, out=g if in_place else None))
 
     return _record(values, "subtract", (a, b), adjoint)
 
@@ -199,10 +227,23 @@ def mul(a, b) -> Tensor:
     values = a.values * b.values
 
     def adjoint(g: np.ndarray) -> None:
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g * b.values, a.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(g * a.values, b.shape))
+        if a.values.ndim == 0 and b.shape == g.shape:
+            scalar, other = a, b
+        elif b.values.ndim == 0 and a.shape == g.shape:
+            scalar, other = b, a
+        else:
+            if a.requires_grad:
+                _accumulate(a, _unbroadcast(g * b.values, a.shape))
+            if b.requires_grad:
+                _accumulate(b, _unbroadcast(g * a.values, b.shape))
+            return
+        # a 0-d operand's gradient is a dot product; it reads g before the
+        # other operand's gradient scales g in place
+        if scalar.requires_grad:
+            _accumulate(scalar, np.vdot(g, other.values))
+        if other.requires_grad:
+            g *= scalar.values
+            _accumulate(other, g)
 
     return _record(values, "mul", (a, b), adjoint)
 
@@ -244,16 +285,27 @@ def relu(a) -> Tensor:
     return _record(values, "relu", (a,), adjoint)
 
 
+def _sigmoid_block(x: np.ndarray, out: np.ndarray) -> None:
+    np.negative(x, out=out)
+    np.exp(out, out=out)
+    out += 1.0
+    np.reciprocal(out, out=out)
+
+
 def _sigmoid_values(x: np.ndarray) -> np.ndarray:
     # 1 / (1 + exp(-x)) in one buffer. exp overflows for x < -709.78 (result
     # 0, where the exact value is subnormal) and underflows for large x
     # (result 1); both saturations are benign, so their flags are silenced.
-    out = np.negative(x, out=np.empty_like(x))
+    out = np.empty_like(x)
     with np.errstate(over="ignore", under="ignore"):
-        np.exp(out, out=out)
-        out += 1.0
-        np.reciprocal(out, out=out)
+        _by_row_blocks(_sigmoid_block, x, out)
     return out
+
+
+def _sigmoid_grad_block(g: np.ndarray, s: np.ndarray) -> None:
+    d = np.subtract(1.0, s)
+    d *= s
+    g *= d
 
 
 def sigmoid(a) -> Tensor:
@@ -261,10 +313,9 @@ def sigmoid(a) -> Tensor:
     values = _sigmoid_values(a.values)
 
     def adjoint(g: np.ndarray) -> None:
-        d = np.subtract(1.0, values)
-        d *= values
-        d *= g
-        _accumulate(a, d)
+        g = np.asarray(g)  # the g of a 0-d output may be a numpy scalar
+        _by_row_blocks(_sigmoid_grad_block, g, values)
+        _accumulate(a, g)
 
     return _record(values, "sigmoid", (a,), adjoint)
 
@@ -294,6 +345,15 @@ def softplus(a) -> Tensor:
 # linear algebra and row structure
 
 
+def _transposed_matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``x.T @ y``. An ``x`` of more than one block is multiplied as
+    ``(y.T @ x).T``, about twice as fast for a skinny ``y``; a smaller one
+    keeps the C-ordered result, which later elementwise passes read faster."""
+    if x.nbytes > BLOCK_BYTES:
+        return (y.T @ x).T
+    return x.T @ y
+
+
 def matmul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     if a.values.ndim != 2 or b.values.ndim != 2 or a.shape[1] != b.shape[0]:
@@ -305,9 +365,25 @@ def matmul(a, b) -> Tensor:
         if a.requires_grad:
             _accumulate(a, g @ b.values.T)
         if b.requires_grad:
-            _accumulate(b, a.values.T @ g)
+            _accumulate(b, _transposed_matmul(a.values, g))
 
     return _record(values, "matmul", (a, b), adjoint)
+
+
+def _distance_block(gram: np.ndarray, row_norms: np.ndarray,
+                    sq_norms: np.ndarray) -> None:
+    # -2 g_ij + (n_i + n_j) has the same bits as (n_i + n_j) - 2 g_ij
+    gram *= -2.0
+    gram += row_norms[:, None] + sq_norms[None, :]
+    np.maximum(gram, 0.0, out=gram)
+    np.sqrt(gram, out=gram)
+
+
+def _distance_grad_block(g: np.ndarray, values: np.ndarray) -> None:
+    w = np.multiply(values, values)
+    w += DISTANCE_EPS
+    np.sqrt(w, out=w)
+    g /= w
 
 
 def pairwise_euclidean(e) -> Tensor:
@@ -325,26 +401,29 @@ def pairwise_euclidean(e) -> Tensor:
     # n_i + n_j == n_j + n_i, so no transposed pass is needed.
     v = np.ascontiguousarray(e.values)
     sq_norms = (v * v).sum(axis=1)
-    sq = sq_norms[:, None] + sq_norms[None, :]
-    sq -= 2.0 * (v @ v.T)
-    np.maximum(sq, 0.0, out=sq)
-    np.fill_diagonal(sq, 0.0)
-    values = np.sqrt(sq, out=sq)
+    # the distances are computed inside the Gram buffer
+    values = v @ v.T
+    _by_row_blocks(lambda gram, row_norms: _distance_block(gram, row_norms, sq_norms),
+                   values, sq_norms)
+    np.fill_diagonal(values, 0.0)
 
     def adjoint(g: np.ndarray) -> None:
-        # sqrt(d^2 + eps) rebuilt from the distances, so no squared
+        # w = g / sqrt(d^2 + eps), rebuilt from the distances so no squared
         # distances outlive the forward pass
-        w = np.multiply(values, values)
-        w += DISTANCE_EPS
-        np.sqrt(w, out=w)
-        np.divide(g, w, out=w)
-        np.fill_diagonal(w, 0.0)  # diagonal is constant 0, no gradient
+        _by_row_blocks(_distance_grad_block, g, values)
+        np.fill_diagonal(g, 0.0)  # diagonal is constant 0, no gradient
         # d_ij depends on rows i and j alike: pull w and w.T through
         # without forming w + w.T
-        degree = w.sum(axis=1) + w.sum(axis=0)
-        _accumulate(e, degree[:, None] * v - (w @ v + w.T @ v))
+        degree = g.sum(axis=1) + g.sum(axis=0)
+        _accumulate(e, degree[:, None] * v - (g @ v + _transposed_matmul(g, v)))
 
     return _record(values, "pairwise_euclidean", (e,), adjoint)
+
+
+def _row_normalize_grad_block(g: np.ndarray, values: np.ndarray,
+                              denom: np.ndarray) -> None:
+    g -= np.einsum("ij,ij->i", g, values)[:, None]
+    g /= denom
 
 
 def row_normalize(a) -> Tensor:
@@ -365,11 +444,8 @@ def row_normalize(a) -> Tensor:
     values = a.values / denom
 
     def adjoint(g: np.ndarray) -> None:
-        d = np.multiply(g, values)
-        row_dot = d.sum(axis=1, keepdims=True)
-        np.subtract(g, row_dot, out=d)
-        d /= denom
-        _accumulate(a, d)
+        _by_row_blocks(_row_normalize_grad_block, g, values, denom)
+        _accumulate(a, g)
 
     return _record(values, "row_normalize", (a,), adjoint)
 
@@ -377,17 +453,15 @@ def row_normalize(a) -> Tensor:
 def row_softmax_cross_entropy(logits, labels, mask) -> Tensor:
     """Mean softmax cross-entropy over the masked rows of ``logits``.
 
-    ``labels`` holds integer class ids per row (any other dtype raises
-    ContractError rather than being truncated); ``mask`` selects the rows
+    ``labels`` holds integer class ids per row, as :func:`_class_labels`
+    reads them; ``mask`` selects the rows
     that contribute to the loss, as :func:`row_indices` reads it. Uses the
     max-shifted softmax for stability.
     """
     logits = as_tensor(logits)
     if logits.values.ndim != 2:
         raise DimensionError(f"expected (N,C) logits, got {logits.shape}")
-    labels = np.asarray(labels)
-    if not np.issubdtype(labels.dtype, np.integer):
-        raise ContractError(f"labels must be integers, got dtype {labels.dtype}")
+    labels = _class_labels(labels)
     if labels.shape != logits.shape[:1]:
         raise DimensionError(
             f"labels of shape {labels.shape} for {logits.shape[0]} logits rows")
@@ -414,6 +488,16 @@ def row_softmax_cross_entropy(logits, labels, mask) -> Tensor:
         _accumulate(logits, full)
 
     return _record(values, "row_softmax_cross_entropy", (logits,), adjoint)
+
+
+def _class_labels(labels) -> np.ndarray:
+    """``labels`` as an array of integer class ids; any other dtype raises
+    ContractError rather than being truncated or compared as floats. The
+    loss and ``training.evaluate`` share this check."""
+    labels = np.asarray(labels)
+    if not np.issubdtype(labels.dtype, np.integer):
+        raise ContractError(f"labels must be integers, got dtype {labels.dtype}")
+    return labels
 
 
 def row_indices(mask, n: int) -> np.ndarray:

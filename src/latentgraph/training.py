@@ -276,9 +276,13 @@ def macro_ovr_auc(scores: np.ndarray, labels: np.ndarray) -> Optional[float]:
 
 def evaluate(params: gcn.ModelParams, dataset, mask,
              adjacency: Optional[np.ndarray] = None) -> Metrics:
-    """Accuracy and macro OvR AUC (from softmax probabilities) on ``mask``."""
+    """Accuracy and macro OvR AUC (from softmax probabilities) on ``mask``.
+
+    ``dataset.y`` must hold integer class ids, as the training loss reads
+    them; float labels raise ContractError instead of scoring silently.
+    """
     x = np.asarray(dataset.X, dtype=np.float64)
-    y = np.asarray(dataset.y)
+    y = ad._class_labels(dataset.y)
     idx = ad.row_indices(mask, x.shape[0])
     if idx.size == 0:
         raise ContractError("evaluation mask must be non-empty")

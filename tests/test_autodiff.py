@@ -13,6 +13,8 @@ from latentgraph.errors import ContractError, DimensionError, NumericalError
 from latentgraph.gradcheck import (END_TO_END_TOLERANCE, OP_TOLERANCE,
                                    end_to_end_check, op_checks, relative_error)
 
+from conftest import zero_fill_backward
+
 RNG = np.random.default_rng(1234)
 
 finite_matrices = arrays(np.float64, (4, 3),
@@ -150,6 +152,15 @@ class TestSigmoid:
         s = out.values
         np.testing.assert_allclose(x.grad, s * (1 - s), atol=1e-15)
 
+    def test_adjoint_of_a_scalar_receiving_a_numpy_scalar(self):
+        # scalar_mul hands a 0-d input the numpy scalar g * c, which the
+        # in-place adjoint must still scale
+        x = ad.parameter(np.asarray(0.3))
+        out = ad.sigmoid(x)
+        ad.backward(ad.scalar_mul(out, 3.0))
+        s = out.values
+        np.testing.assert_allclose(x.grad, 3.0 * s * (1 - s), rtol=1e-15)
+
 
 class TestBackward:
     def test_sum_gives_ones(self):
@@ -225,10 +236,124 @@ class TestBackward:
             assert loss.grad == 1.0
             assert p.grad == 3.0 and q.grad == 1.0
 
+    def test_subtract_negates_a_numpy_scalar_gradient(self):
+        # scalar_mul hands the 0-d difference the numpy scalar g * c, which
+        # has no buffer to negate in place
+        t = ad.parameter(np.asarray(0.4))
+        ad.backward(ad.scalar_mul(ad.subtract(2.0, t), 3.0))
+        assert t.grad == -3.0
+
     def test_subtract_of_a_tensor_from_itself_gives_zero(self):
         w = ad.parameter(RNG.normal(size=(2, 3)))
         ad.backward(ad.sum_all(ad.mul(ad.subtract(w, w), RNG.normal(size=(2, 3)))))
         assert np.array_equal(w.grad, np.zeros((2, 3)))
+
+
+def forward_and_gradients(op, values, weight):
+    """Output of ``op`` on fresh parameters, and their gradients under the
+    loss sum(op(...) * weight)."""
+    params = [ad.parameter(v.copy()) for v in values]
+    out = op(*params)
+    ad.backward(ad.sum_all(ad.mul(out, weight)))
+    return out.values, [p.grad for p in params]
+
+
+class TestRowBlocks:
+    """With ``BLOCK_BYTES`` cut to one row, every blocked N x N kernel must
+    give exactly its one-block result."""
+
+    N = 9
+
+    @pytest.fixture
+    def one_row_blocks(self, monkeypatch):
+        monkeypatch.setattr(ad, "BLOCK_BYTES", 8 * self.N)
+
+    def test_blocks_cover_every_row_once_in_order(self, one_row_blocks):
+        a, b = RNG.normal(size=(self.N, self.N)), RNG.normal(size=(self.N, 2))
+        seen = []
+        ad._by_row_blocks(lambda x, y: seen.append((x.copy(), y.copy())), a, b)
+        assert len(seen) == self.N
+        assert np.array_equal(np.vstack([x for x, _ in seen]), a)
+        assert np.array_equal(np.vstack([y for _, y in seen]), b)
+
+    def test_array_of_one_block_is_passed_whole(self):
+        a = RNG.normal(size=(self.N, self.N))
+        seen = []
+        ad._by_row_blocks(lambda x: seen.append(x), a)
+        assert len(seen) == 1 and seen[0] is a
+
+    @pytest.mark.parametrize("op, shape", [
+        (ad.pairwise_euclidean, (N, 4)),
+        (ad.sigmoid, (N, N)),
+        (lambda a: ad.row_normalize(ad.sigmoid(a)), (N, N)),
+    ], ids=["pairwise_euclidean", "sigmoid", "row_normalize"])
+    def test_forward_and_adjoint_equal_one_block(self, op, shape, monkeypatch):
+        values = [RNG.uniform(-2.0, 2.0, size=shape)]
+        weight = RNG.normal(size=(self.N, self.N))
+        whole, whole_grads = forward_and_gradients(op, values, weight)
+        monkeypatch.setattr(ad, "BLOCK_BYTES", 8 * self.N)
+        blocked, blocked_grads = forward_and_gradients(op, values, weight)
+        assert np.array_equal(blocked, whole)
+        for got, want in zip(blocked_grads, whole_grads):
+            assert np.array_equal(got, want)
+
+    def test_blocked_distances_exactly_symmetric_with_zero_diagonal(self, one_row_blocks):
+        d = ad.pairwise_euclidean(RNG.normal(size=(self.N, 5))).values
+        assert np.array_equal(d, d.T)
+        assert np.array_equal(np.diag(d), np.zeros(self.N))
+
+    def test_blocked_ops_match_finite_differences(self, monkeypatch):
+        # every array of more than one element is cut into single rows, and
+        # every transposed product is formed as (y.T @ x).T
+        monkeypatch.setattr(ad, "BLOCK_BYTES", 8)
+        for name, err in op_checks(seed=5, instances=3).items():
+            assert err < OP_TOLERANCE, f"{name}: {err}"
+        assert end_to_end_check(seed=5, instances=2) < END_TO_END_TOLERANCE
+
+
+class TestGradientBuffers:
+    """An adjoint may write into the gradient it receives, so no two
+    tensors may end up holding one buffer, and no buffer may be written
+    after a tensor took it."""
+
+    N = 6
+
+    @pytest.mark.parametrize("op, shapes, expected", [
+        (ad.subtract, [(N, N), (N, N)], lambda w, p, q: [w, -w]),
+        (ad.subtract, [(), (N, N)], lambda w, p, q: [w.sum(), -w]),
+        (ad.subtract, [(N, N), ()], lambda w, p, q: [w, -w.sum()]),
+        (ad.mul, [(N, N), (N, N)], lambda w, p, q: [w * q, w * p]),
+        (ad.mul, [(), (N, N)], lambda w, p, q: [(w * q).sum(), w * p]),
+        (ad.mul, [(N, N), ()], lambda w, p, q: [w * q, (w * p).sum()]),
+        (lambda w: ad.mul(w, w), [(N, N)], lambda w, p: [2.0 * w * p]),
+    ], ids=["subtract", "subtract_scalar", "subtract_scalar_right", "mul", "mul_scalar",
+            "mul_scalar_right", "mul_self"])
+    def test_gradients_are_owned_and_match_zero_fill(self, op, shapes, expected,
+                                                      monkeypatch):
+        # the op feeds the blocked sigmoid and row_normalize kernels, one
+        # row per block
+        monkeypatch.setattr(ad, "BLOCK_BYTES", 8 * self.N)
+        values = [RNG.uniform(-1.0, 1.0, size=s) for s in shapes]
+        weight = RNG.normal(size=(self.N, self.N))
+        params = [ad.parameter(v.copy()) for v in values]
+        loss = ad.sum_all(ad.mul(ad.row_normalize(ad.sigmoid(op(*params))), weight))
+        zero_fill_backward(loss)
+        reference = [p.grad.copy() for p in params]
+        ad.backward(loss)
+        grads = [p.grad for p in params]
+        for got, want in zip(grads, reference):
+            assert np.array_equal(got, want)
+        for i, g in enumerate(grads):
+            for other in [*grads[i + 1:], weight, *(p.values for p in params)]:
+                assert not np.shares_memory(g, other)
+
+        # the op alone: each gradient is its closed form
+        op_weight = RNG.normal(size=(self.N, self.N))
+        fresh = [ad.parameter(v.copy()) for v in values]
+        ad.backward(ad.sum_all(ad.mul(op(*fresh), op_weight)))
+        for p, want in zip(fresh, expected(op_weight, *values)):
+            np.testing.assert_allclose(p.grad, want, rtol=1e-12, atol=1e-14)
+        assert all(np.array_equal(p.values, v) for p, v in zip(fresh, values))
 
 
 class TestConstantOperands:

@@ -10,6 +10,8 @@ from latentgraph import graph_learning as gl
 from latentgraph.errors import NumericalError
 from latentgraph.training import knn_adjacency
 
+from conftest import zero_fill_backward
+
 RNG = np.random.default_rng(42)
 
 
@@ -163,22 +165,15 @@ class TestConstantInputs:
         assert all(t.grad is not None for t in params.tensors())
 
 
-def zero_fill_backward(loss):
-    """Reference sweep: a zeroed gradient for every tape node up front,
-    each adjoint adds into it, and every buffer is kept."""
-    tape = ad.build_tape(loss)
-    for t in tape:
-        t.grad = np.zeros(t.shape)
-    loss.grad = np.ones(())
-    for t in reversed(tape):
-        if t._adjoint is not None:
-            t._adjoint(t.grad)
-
-
 class TestBackwardSweep:
-    @pytest.mark.parametrize("graph", ["learned", "learned_no_hidden", "static"])
-    def test_interior_grads_released_and_parameter_grads_match_zero_fill(self, graph):
+    @pytest.mark.parametrize("graph, one_row_blocks", [
+        pytest.param(graph, one_row, id=graph + ("-one_row_blocks" if one_row else ""))
+        for graph in ["learned", "learned_no_hidden", "static"] for one_row in [False, True]])
+    def test_interior_grads_released_and_parameter_grads_match_zero_fill(
+            self, graph, one_row_blocks, monkeypatch):
         n = 10
+        if one_row_blocks:  # every N x N kernel runs row by row
+            monkeypatch.setattr(ad, "BLOCK_BYTES", 8 * n)
         x = np.random.default_rng(6).normal(size=(n, 4))
         params = gcn.init_model(x, 3, embed_hidden=() if graph == "learned_no_hidden" else (6,),
                                 embed_dim=3, gc_widths=(5, 4), rng=np.random.default_rng(7),

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -350,6 +351,15 @@ class TestEvaluate:
         params, _ = tr.train(blobs, tr.TrainConfig(seed=0, epochs=0))
         with pytest.raises(ContractError):
             tr.evaluate(params, blobs, [-1])
+
+    def test_float_labels_rejected(self):
+        # compared with the integer predictions, such labels would score
+        # accuracy 0 with no AUC instead of raising
+        dataset = make_blobs(n_per_class=4, n_classes=3)
+        params, _ = tr.train(dataset, tr.TrainConfig(seed=0, **FAST))
+        shifted = dataclasses.replace(dataset, y=dataset.y + 0.4)
+        with pytest.raises(ContractError, match="labels must be integers"):
+            tr.evaluate(params, shifted, np.arange(dataset.n_nodes))
 
 
 class TestCrossValidate:
