@@ -248,17 +248,6 @@ def mul(a, b) -> Tensor:
     return _record(values, "mul", (a, b), adjoint)
 
 
-def scalar_mul(a, c: float) -> Tensor:
-    a = as_tensor(a)
-    c = float(c)
-    values = a.values * c
-
-    def adjoint(g: np.ndarray) -> None:
-        _accumulate(a, g * c)
-
-    return _record(values, "scalar_mul", (a,), adjoint)
-
-
 def sum_all(a) -> Tensor:
     """Sum of all entries, as a scalar tensor."""
     a = as_tensor(a)

@@ -18,7 +18,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import data_io, synthetic, training
-from .data_io import CsvSchema
 from .errors import LatentGraphError
 from .graph_learning import embed, soft_adjacency
 from .autodiff import as_tensor
@@ -119,10 +118,10 @@ def build_parser() -> _Parser:
 
 
 def _read_dataset(args) -> data_io.TabularDataset:
-    schema = CsvSchema(id_col=args.id_col, label_col=args.label_col,
-                       feature_cols="rest" if args.features == "rest"
-                       else [c.strip() for c in args.features.split(",")])
-    return data_io.load_csv(args.data, schema, quantize_edges=args.quantize_edges)
+    features = ("rest" if args.features == "rest"
+                else [c.strip() for c in args.features.split(",")])
+    return data_io.load_csv(args.data, args.id_col, args.label_col, features,
+                            quantize_edges=args.quantize_edges)
 
 
 def _load_dataset(args) -> data_io.TabularDataset:
@@ -196,9 +195,8 @@ def _cmd_cross_validate(args, out_dir: Path) -> int:
 
 def _cmd_infer(args, out_dir: Path) -> int:
     dataset = _read_dataset(args)
-    test_schema = CsvSchema(id_col=args.id_col, label_col=None,
-                            feature_cols=dataset.feature_names)
-    test_set = data_io.load_csv(args.test_data, test_schema)
+    test_set = data_io.load_csv(args.test_data, args.id_col,
+                                feature_cols=dataset.feature_names)
     test_X = test_set.X
     if not args.no_standardize:
         # moments of the training rows only: the trained model must not
@@ -209,10 +207,9 @@ def _cmd_infer(args, out_dir: Path) -> int:
     params, _ = training.train(dataset, cfg)
     preds = training.inductive_infer(params, dataset.X, test_X)
     out_path = out_dir / "predictions.csv"
-    with out_path.open("w") as handle:
-        handle.write("id,label,class\n")
-        for node_id, label in zip(test_set.node_ids, preds):
-            handle.write(f"{node_id},{label},{dataset.class_names[label]}\n")
+    data_io.write_csv(out_path, ["id", "label", "class"],
+                      ([node_id, label, dataset.class_names[label]]
+                       for node_id, label in zip(test_set.node_ids, preds)))
     _write_run_info(out_dir, args, {"n_test": len(test_set.node_ids)})
     print(f"wrote {len(test_set.node_ids)} predictions to {out_path}")
     return 0
@@ -255,11 +252,9 @@ def _cmd_synth_curves(args, out_dir: Path) -> int:
                                       edge_probability=args.edge_prob,
                                       base_cfg=base)
     path = out_dir / "recovery_curves.csv"
-    with path.open("w") as handle:
-        handle.write("nodes,dim,seed,final_mse,agreement\n")
-        for c in cells:
-            handle.write(f"{c.n},{c.embedding_dim},{c.seed},"
-                         f"{c.mse:.10g},{c.agreement:.10g}\n")
+    data_io.write_csv(path, ["nodes", "dim", "seed", "final_mse", "agreement"],
+                      ([c.n, c.embedding_dim, c.seed, format(c.mse, ".10g"),
+                        format(c.agreement, ".10g")] for c in cells))
     for (n, dim), (mean, std) in synthetic.summarize_curves(cells).items():
         print(f"nodes={n:4d} dim={dim:4d}  mse {mean:.4e} +- {std:.1e}")
     _write_run_info(out_dir, args, {"cells": len(cells)})

@@ -7,7 +7,7 @@ import json
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -16,20 +16,6 @@ from .errors import ContractError, DataError, DimensionError, ParseError
 logger = logging.getLogger(__name__)
 
 _MISSING_TOKENS = {"", "na", "nan", "null", "none"}
-
-
-@dataclass
-class CsvSchema:
-    """Column roles for a headers-first CSV file.
-
-    ``feature_cols`` may be an explicit list or "rest", meaning every
-    column that is neither the id nor the label. ``label_col`` may be
-    None for unlabeled files (inductive test sets).
-    """
-
-    id_col: str
-    label_col: Optional[str] = None
-    feature_cols: Union[Sequence[str], str] = "rest"
 
 
 @dataclass
@@ -46,31 +32,28 @@ class TabularDataset:
     def n_nodes(self) -> int:
         return self.X.shape[0]
 
-    @property
-    def n_features(self) -> int:
-        return self.X.shape[1]
-
-    @property
-    def n_classes(self) -> int:
-        return len(self.class_names)
-
 
 def _is_missing(cell: str) -> bool:
     return cell.strip().lower() in _MISSING_TOKENS
 
 
-def load_csv(path, schema: CsvSchema,
+def load_csv(path, id_col: str, label_col: Optional[str] = None,
+             feature_cols: Union[Sequence[str], str] = "rest",
              quantize_edges: Optional[Sequence[float]] = None) -> TabularDataset:
-    """Parse a CSV into a TabularDataset.
+    """Parse a headers-first CSV into a TabularDataset.
 
-    Rows with a missing label are dropped (with a logged count). Missing
-    feature cells are imputed by the column mean of the present values.
+    ``feature_cols`` may be an explicit list or "rest", meaning every
+    column that is neither the id nor the label. ``label_col`` may be
+    None for unlabeled files (inductive test sets). Rows with a missing
+    label are dropped (with a logged count). Missing feature cells are
+    imputed by the column mean of the present values.
     Label values are mapped to dense integers in [0, C) sorted by value
     (numerically when every label parses as a number); when
     ``quantize_edges`` is given, labels are parsed as floats and binned
     first. Malformed feature cells raise a ParseError naming the file
-    line and column, as does an explicit feature list that names the id
-    or label column, or one column twice.
+    line and column, as does a header that names a column twice, or an
+    explicit feature list that names the id or label column, or one
+    column twice.
     """
     path = Path(path)
     try:
@@ -86,21 +69,26 @@ def load_csv(path, schema: CsvSchema,
         header = [h.strip() for h in header]
         rows = [row for row in reader if any(cell.strip() for cell in row)]
 
+    index = {name: i for i, name in enumerate(header)}
+    if len(index) < len(header):
+        twice = next(name for i, name in enumerate(header) if index[name] != i)
+        raise ParseError(f"{path}: column {twice!r} is named twice in the header")
+
     def column(name: str) -> int:
         try:
-            return header.index(name)
-        except ValueError:
+            return index[name]
+        except KeyError:
             raise ParseError(f"{path}: column {name!r} not found in header") from None
 
-    id_idx = column(schema.id_col)
-    label_idx = column(schema.label_col) if schema.label_col is not None else None
-    if schema.feature_cols == "rest":
+    id_idx = column(id_col)
+    label_idx = column(label_col) if label_col is not None else None
+    if feature_cols == "rest":
         feature_names = [h for i, h in enumerate(header)
                          if i != id_idx and i != label_idx]
     else:
-        feature_names = list(schema.feature_cols)
+        feature_names = list(feature_cols)
         for name in feature_names:
-            if name in (schema.id_col, schema.label_col):
+            if name in (id_col, label_col):
                 raise ParseError(
                     f"{path}: feature column {name!r} is the id or label column")
             if feature_names.count(name) > 1:
@@ -227,6 +215,16 @@ def standardize(x, reference=None) -> np.ndarray:
     return out
 
 
+def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write ``header`` and ``rows`` as CSV, quoting the fields that need it
+    (a quantized class name such as ``[60.0, 70.0)`` holds a comma) and
+    ending every line with a newline alone."""
+    with Path(path).open("w", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def export_adjacency(adjacency, node_ids: Sequence[str], path) -> None:
     """Dense CSV dump with id header row/column, 6 significant digits."""
     adjacency = np.asarray(adjacency)
@@ -234,35 +232,9 @@ def export_adjacency(adjacency, node_ids: Sequence[str], path) -> None:
     if adjacency.shape != (n, n):
         raise DimensionError(
             f"adjacency shape {adjacency.shape} does not match {n} node ids")
-    path = Path(path)
-    with path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["id", *node_ids])
-        for node_id, row in zip(node_ids, adjacency):
-            writer.writerow([node_id, *(format(v, ".6g") for v in row)])
-
-
-def load_adjacency(path) -> tuple[list[str], np.ndarray]:
-    """Read an adjacency CSV written by :func:`export_adjacency`."""
-    path = Path(path)
-    with path.open(newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: file is empty") from None
-        node_ids = header[1:]
-        rows = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                rows.append([float(v) for v in row[1:]])
-            except ValueError as exc:
-                raise ParseError(f"{path} line {line_no}: {exc}") from None
-    adjacency = np.array(rows, dtype=np.float64).reshape(len(node_ids),
-                                                         len(node_ids))
-    return node_ids, adjacency
+    write_csv(path, ["id", *node_ids],
+              ([node_id, *(format(v, ".6g") for v in row)]
+               for node_id, row in zip(node_ids, adjacency)))
 
 
 def write_history_csv(path, history) -> None:
@@ -271,15 +243,11 @@ def write_history_csv(path, history) -> None:
     Loss and accuracies come from the epoch's forward pass, before its
     Adam step: they score the parameters the epoch started with.
     """
-    path = Path(path)
-    with path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["epoch", "lr", "loss", "train_acc", "val_acc"])
-        for record in history:
-            val = "" if record.val_acc is None else format(record.val_acc, ".10g")
-            writer.writerow([record.epoch, format(record.lr, ".10g"),
-                             format(record.loss, ".10g"),
-                             format(record.train_acc, ".10g"), val])
+    write_csv(path, ["epoch", "lr", "loss", "train_acc", "val_acc"],
+              ([r.epoch, format(r.lr, ".10g"), format(r.loss, ".10g"),
+                format(r.train_acc, ".10g"),
+                "" if r.val_acc is None else format(r.val_acc, ".10g")]
+               for r in history))
 
 
 def write_metrics_json(path, payload: dict) -> None:

@@ -128,13 +128,13 @@ def recover_graph(targets: np.ndarray, cfg: RecoveryConfig) -> RecoveryResult:
     state = AdamState([*embedder.tensors(), *edge.tensors()])
     target_tensor = ad.as_tensor(targets)
     off_diag = ad.as_tensor(1.0 - np.eye(n))
-    scale = 1.0 / (n * (n - 1))
+    scale = ad.as_tensor(1.0 / (n * (n - 1)))
     history: list[float] = []
 
     def objective() -> ad.Tensor:
         adjacency = gl.soft_adjacency(gl.embed(features, embedder), edge)
         residual = ad.mul(ad.subtract(target_tensor, adjacency), off_diag)
-        return ad.scalar_mul(ad.sum_all(ad.mul(residual, residual)), scale)
+        return ad.mul(ad.sum_all(ad.mul(residual, residual)), scale)
 
     for iteration in range(cfg.iterations):
         loss = objective()

@@ -153,11 +153,11 @@ class TestSigmoid:
         np.testing.assert_allclose(x.grad, s * (1 - s), atol=1e-15)
 
     def test_adjoint_of_a_scalar_receiving_a_numpy_scalar(self):
-        # scalar_mul hands a 0-d input the numpy scalar g * c, which the
-        # in-place adjoint must still scale
+        # mul by a 0-d operand hands the other 0-d input the numpy scalar
+        # np.vdot(g, c), which the in-place adjoint must still scale
         x = ad.parameter(np.asarray(0.3))
         out = ad.sigmoid(x)
-        ad.backward(ad.scalar_mul(out, 3.0))
+        ad.backward(ad.mul(out, 3.0))
         s = out.values
         np.testing.assert_allclose(x.grad, 3.0 * s * (1 - s), rtol=1e-15)
 
@@ -195,12 +195,12 @@ class TestBackward:
     def test_tape_visits_each_op_once(self):
         # diamond: both branches share one input
         w = ad.parameter(np.array([1.0, 2.0]))
-        a = ad.scalar_mul(w, 2.0)
+        a = ad.mul(w, 2.0)
         loss = ad.sum_all(ad.add(a, a))
         tape = ad.build_tape(loss)
         assert len(tape) == len({id(t) for t in tape})
         recorded = [t for t in tape if t.op is not None]
-        assert len(recorded) == 3  # scalar_mul, add, sum_all
+        assert len(recorded) == 3  # mul, add, sum_all
         ad.backward(loss)
         assert np.array_equal(w.grad, np.array([4.0, 4.0]))
 
@@ -215,11 +215,11 @@ class TestBackward:
         w1, w2 = RNG.normal(size=(3, 2)), RNG.normal(size=(3, 2))
         target = p if extra == "a" else q
         if branch_first:
-            branch = ad.mul(ad.scalar_mul(target, 3.0), w2)
+            branch = ad.mul(ad.mul(target, 3.0), w2)
             joint = ad.mul(ad.add(p, q), w1)
         else:
             joint = ad.mul(ad.add(p, q), w1)
-            branch = ad.mul(ad.scalar_mul(target, 3.0), w2)
+            branch = ad.mul(ad.mul(target, 3.0), w2)
         loss = ad.sum_all(ad.add(joint, branch))
         ad.backward(loss)
         other = q if extra == "a" else p
@@ -230,17 +230,17 @@ class TestBackward:
         # the root's gradient reaches p and q through two adds
         p = ad.parameter(np.asarray(1.5))
         q = ad.parameter(np.asarray(-2.0))
-        loss = ad.add(ad.add(p, q), ad.scalar_mul(p, 2.0))
+        loss = ad.add(ad.add(p, q), ad.mul(p, 2.0))
         for _ in range(2):
             ad.backward(loss)
             assert loss.grad == 1.0
             assert p.grad == 3.0 and q.grad == 1.0
 
     def test_subtract_negates_a_numpy_scalar_gradient(self):
-        # scalar_mul hands the 0-d difference the numpy scalar g * c, which
-        # has no buffer to negate in place
+        # mul by a 0-d operand hands the 0-d difference the numpy scalar
+        # np.vdot(g, c), which has no buffer to negate in place
         t = ad.parameter(np.asarray(0.4))
-        ad.backward(ad.scalar_mul(ad.subtract(2.0, t), 3.0))
+        ad.backward(ad.mul(ad.subtract(2.0, t), 3.0))
         assert t.grad == -3.0
 
     def test_subtract_of_a_tensor_from_itself_gives_zero(self):
@@ -386,7 +386,7 @@ class TestPlumbingOps:
         assert np.array_equal(ad.add(a, b).values, a + b)
         assert np.array_equal(ad.subtract(a, b).values, a - b)
         assert np.array_equal(ad.mul(a, b).values, a * b)
-        assert np.array_equal(ad.scalar_mul(ad.as_tensor(a), 2.5).values, a * 2.5)
+        assert np.array_equal(ad.mul(a, 2.5).values, a * 2.5)
 
     def test_broadcast_add_bias_row(self):
         h = ad.parameter(RNG.normal(size=(4, 3)))

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 
@@ -139,7 +140,7 @@ class TestCrossValidate:
         printed = capsys.readouterr().out
         assert "ridge baseline" in printed and "knn-graph baseline" in printed
         metrics = json.loads((out / "metrics.json").read_text())
-        dataset = data_io.load_csv(data_csv, data_io.CsvSchema(id_col="id", label_col="dx"))
+        dataset = data_io.load_csv(data_csv, "id", "dx")
         dataset.X = data_io.standardize(dataset.X)
         cfg = training.TrainConfig(seed=7, folds=3, epochs=40, embed_hidden=(),
                                    embed_dim=4, gc_widths=(8, 4))
@@ -259,13 +260,38 @@ class TestTrainInferExport:
                                        atol=1e-12)
         assert losses[0] == losses[1]
 
+    def test_infer_quantized_labels_quote_the_class(self, tmp_path):
+        # every bin name "[a, b)" holds a comma, so it must be quoted
+        blobs = make_blobs(n_per_class=8, n_classes=4, seed=3)
+        blobs.class_names = ["55", "65", "75", "85"]
+        data_csv, test_csv = tmp_path / "ages.csv", tmp_path / "test.csv"
+        write_dataset_csv(data_csv, blobs, label_col="age")
+        write_dataset_csv(test_csv, blobs, label_col="age_unused")
+        out = tmp_path / "inf"
+        code = cli.run(["infer", "--data", str(data_csv), "--label-col", "age",
+                        "--quantize-edges", "50,60,70,80,90",
+                        "--test-data", str(test_csv), "--out-dir", str(out),
+                        *FAST_FLAGS])
+        assert code == 0
+        text = (out / "predictions.csv").read_text()
+        header, *rows = csv.reader(text.splitlines())
+        assert header == ["id", "label", "class"]
+        assert len(rows) == 32
+        edges = [50.0, 60.0, 70.0, 80.0, 90.0]
+        for node_id, label, name in rows:
+            b = int(label)
+            assert name == f"[{edges[b]}, {edges[b + 1]})"
+            assert f'{node_id},{label},"{name}"\n' in text
+
     def test_export_graph_round_trips(self, data_csv, tmp_path):
-        from latentgraph import data_io
         out = tmp_path / "eg"
         code = cli.run(["export-graph", "--data", str(data_csv),
                         "--label-col", "dx", "--out-dir", str(out), *FAST_FLAGS])
         assert code == 0
-        ids, adjacency = data_io.load_adjacency(out / "adjacency.csv")
+        with (out / "adjacency.csv").open(newline="") as handle:
+            header, *rows = csv.reader(handle)
+        ids = header[1:]
+        adjacency = np.array([[float(v) for v in row[1:]] for row in rows])
         assert len(ids) == 30
         assert np.all(adjacency >= 0.0) and np.all(adjacency <= 1.0)
         np.testing.assert_allclose(adjacency, adjacency.T, atol=1e-6)

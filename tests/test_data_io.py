@@ -1,10 +1,11 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latentgraph import data_io
-from latentgraph.data_io import CsvSchema
 from latentgraph.errors import ContractError, DataError, DimensionError, ParseError
 from latentgraph.training import EpochRecord
 
@@ -23,8 +24,7 @@ class TestLoadCsv:
                                "p1,a,1.5,2.5\n"
                                "p2,b,-3.0,0.25\n"
                                "p3,a,0.125,7.0\n")
-        ds = data_io.load_csv(path, CsvSchema(id_col="id", label_col="dx"))
-        assert ds.n_nodes == 3 and ds.n_features == 2
+        ds = data_io.load_csv(path, "id", "dx")
         assert np.array_equal(ds.X, [[1.5, 2.5], [-3.0, 0.25], [0.125, 7.0]])
         assert np.array_equal(ds.y, [0, 1, 0])
         assert ds.class_names == ["a", "b"]
@@ -32,40 +32,38 @@ class TestLoadCsv:
 
     def test_missing_cell_imputed_by_column_mean(self, tmp_path):
         path = write(tmp_path, "id,dx,f1\np1,a,2.0\np2,b,\np3,a,4.0\n")
-        ds = data_io.load_csv(path, CsvSchema(id_col="id", label_col="dx"))
+        ds = data_io.load_csv(path, "id", "dx")
         assert ds.X[1, 0] == 3.0
 
     def test_missing_label_rows_dropped(self, tmp_path):
         path = write(tmp_path, "id,dx,f1\np1,a,1\np2,,2\np3,b,3\n")
-        ds = data_io.load_csv(path, CsvSchema(id_col="id", label_col="dx"))
+        ds = data_io.load_csv(path, "id", "dx")
         assert ds.n_nodes == 2
         assert ds.node_ids == ["p1", "p3"]
 
     def test_non_numeric_cell_reports_coordinates(self, tmp_path):
         path = write(tmp_path, "id,dx,f1\np1,a,1\np2,b,oops\n")
         with pytest.raises(ParseError, match="line 3.*'f1'"):
-            data_io.load_csv(path, CsvSchema(id_col="id", label_col="dx"))
+            data_io.load_csv(path, "id", "dx")
 
     def test_absent_column_rejected(self, tmp_path):
         path = write(tmp_path, "id,dx,f1\np1,a,1\n")
         with pytest.raises(ParseError, match="'nope'"):
-            data_io.load_csv(path, CsvSchema(id_col="id", label_col="nope"))
+            data_io.load_csv(path, "id", "nope")
 
     def test_unreadable_file(self, tmp_path):
         with pytest.raises(ParseError):
-            data_io.load_csv(tmp_path / "absent.csv",
-                             CsvSchema(id_col="id", label_col="dx"))
+            data_io.load_csv(tmp_path / "absent.csv", "id", "dx")
 
     def test_numeric_labels_densified_in_numeric_order(self, tmp_path):
         path = write(tmp_path, "id,dx,f1\np1,10,1\np2,2,2\np3,10,3\n")
-        ds = data_io.load_csv(path, CsvSchema(id_col="id", label_col="dx"))
+        ds = data_io.load_csv(path, "id", "dx")
         assert np.array_equal(ds.y, [1, 0, 1])
         assert ds.class_names == ["2", "10"]
 
     def test_explicit_feature_subset(self, tmp_path):
         path = write(tmp_path, "id,dx,f1,f2,f3\np1,a,1,2,3\np2,b,4,5,6\n")
-        ds = data_io.load_csv(path, CsvSchema(id_col="id", label_col="dx",
-                                              feature_cols=["f3", "f1"]))
+        ds = data_io.load_csv(path, "id", "dx", feature_cols=["f3", "f1"])
         assert ds.feature_names == ["f3", "f1"]
         assert np.array_equal(ds.X, [[3, 1], [6, 4]])
 
@@ -77,17 +75,23 @@ class TestLoadCsv:
                                                             features, message):
         path = write(tmp_path, "id,dx,f1,f2\np1,a,1,2\np2,b,4,5\n")
         with pytest.raises(ParseError, match=message):
-            data_io.load_csv(path, CsvSchema(id_col="id", label_col="dx",
-                                             feature_cols=features))
+            data_io.load_csv(path, "id", "dx", feature_cols=features)
+
+    @pytest.mark.parametrize("features", ["rest", ["a"]])
+    def test_column_named_twice_in_header_rejected(self, tmp_path, features):
+        # a repeated name would make both columns read the first one's cells
+        path = write(tmp_path, "id,dx,a,a\np1,x,1,2\np2,y,3,4\n")
+        with pytest.raises(ParseError, match="'a' is named twice in the header"):
+            data_io.load_csv(path, "id", "dx", feature_cols=features)
 
     def test_unlabeled_schema(self, tmp_path):
         path = write(tmp_path, "id,f1\np1,1\np2,2\n")
-        ds = data_io.load_csv(path, CsvSchema(id_col="id", label_col=None))
+        ds = data_io.load_csv(path, "id")
         assert ds.y is None and ds.n_nodes == 2
 
     def test_quantized_continuous_labels(self, tmp_path):
         path = write(tmp_path, "id,age,f1\np1,55,1\np2,65,2\np3,89,3\n")
-        ds = data_io.load_csv(path, CsvSchema(id_col="id", label_col="age"),
+        ds = data_io.load_csv(path, "id", "age",
                               quantize_edges=[50, 60, 70, 80, 90])
         assert np.array_equal(ds.y, [0, 1, 3])
 
@@ -98,7 +102,7 @@ class TestLoadCsv:
             lines.append(f"p{i},a," + ",".join(format(v, ".17g") for v in row))
         lines[1] = lines[1].replace(",a,", ",b,", 1)
         path = write(tmp_path, "\n".join(lines) + "\n")
-        ds = data_io.load_csv(path, CsvSchema(id_col="id", label_col="dx"))
+        ds = data_io.load_csv(path, "id", "dx")
         assert np.array_equal(ds.X, x)
 
 
@@ -173,17 +177,17 @@ class TestExportAdjacency:
     def test_two_by_two_has_three_lines(self, tmp_path):
         path = tmp_path / "adj.csv"
         data_io.export_adjacency(np.eye(2), ["a", "b"], path)
-        lines = path.read_text().strip().splitlines()
-        assert len(lines) == 3
-        assert lines[0] == "id,a,b"
+        assert path.read_bytes() == b"id,a,b\na,1,0\nb,0,1\n"
 
     def test_reload_export_idempotent_at_six_digits(self, tmp_path):
         a = RNG.random((5, 5))
         first = tmp_path / "a.csv"
         second = tmp_path / "b.csv"
         data_io.export_adjacency(a, [f"n{i}" for i in range(5)], first)
-        ids, reloaded = data_io.load_adjacency(first)
-        data_io.export_adjacency(reloaded, ids, second)
+        with first.open(newline="") as handle:
+            header, *rows = csv.reader(handle)
+        reloaded = np.array([[float(v) for v in row[1:]] for row in rows])
+        data_io.export_adjacency(reloaded, header[1:], second)
         assert first.read_bytes() == second.read_bytes()
 
     def test_empty_graph_header_only(self, tmp_path):
@@ -196,16 +200,25 @@ class TestExportAdjacency:
             data_io.export_adjacency(np.eye(3), ["a", "b"], tmp_path / "x.csv")
 
 
+class TestWriteCsv:
+    def test_quotes_fields_and_ends_lines_with_newline(self, tmp_path):
+        path = tmp_path / "out.csv"
+        data_io.write_csv(path, ["id", "label", "class"],
+                          [["p1", 1, "[60.0, 70.0)"], ["p2", 0, "[50.0, 60.0)"]])
+        assert path.read_bytes() == (b'id,label,class\n'
+                                     b'p1,1,"[60.0, 70.0)"\n'
+                                     b'p2,0,"[50.0, 60.0)"\n')
+
+
 class TestTrainingArtifacts:
     def test_history_csv_schema(self, tmp_path):
         history = [EpochRecord(0, 0.01, 1.5, 0.4, None),
                    EpochRecord(1, 0.01, 1.2, 0.5, 0.45)]
         path = tmp_path / "history.csv"
         data_io.write_history_csv(path, history)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "epoch,lr,loss,train_acc,val_acc"
-        assert lines[1] == "0,0.01,1.5,0.4,"
-        assert lines[2] == "1,0.01,1.2,0.5,0.45"
+        assert path.read_bytes() == (b"epoch,lr,loss,train_acc,val_acc\n"
+                                     b"0,0.01,1.5,0.4,\n"
+                                     b"1,0.01,1.2,0.5,0.45\n")
 
     def test_metrics_json_deterministic(self, tmp_path):
         payload = {"b": 1, "a": [1.0, 2.0]}

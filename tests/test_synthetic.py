@@ -185,7 +185,7 @@ class TestClassificationDataset:
         assert ds.X.shape == (90, 100)
         assert np.array_equal(np.bincount(ds.y), [30, 30, 30])
         assert len(ds.node_ids) == 90
-        assert ds.n_classes == 3
+        assert len(ds.class_names) == 3
 
     def test_deterministic(self):
         a = syn.make_classification_dataset(n_nodes=60, seed=5)
