@@ -6,19 +6,21 @@ recorded graph is dynamic: it is rebuilt on every forward pass, and
 ``backward`` replays the adjoints in reverse execution order. Only
 tensors that depend on a parameter are recorded and get a gradient:
 constants (features, a static adjacency, targets) are never on the tape,
-and their ``grad`` stays None. A tensor's first gradient contribution
+and their ``grad`` stays None; inside ``no_grad`` nothing is recorded. A tensor's first gradient contribution
 becomes its buffer and later ones are added into it; a recorded tensor's
 gradient is released when its adjoint runs, and the adjoint may overwrite
 it, so after ``backward`` only the leaves and the root hold one. The N x N
-kernels make their passes over row blocks that stay in cache. The engine
-is deliberately small; it supports exactly the operations the
+kernels make their passes over row blocks that stay in cache, and an N x N
+gradient is written block by block into its one buffer. The engine is
+deliberately small; it supports exactly the operations the
 graph-learning models need, all in double precision so that gradients can
 be validated against central finite differences to tight tolerances.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from contextlib import contextmanager
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -35,6 +37,9 @@ DEGREE_EPS = 1e-12
 # bytes of rows while it is still in cache, instead of each pass streaming
 # the whole array through memory.
 BLOCK_BYTES = 1 << 18
+
+# False inside ``no_grad``: no op is recorded.
+_recording = True
 
 
 class Tensor:
@@ -81,13 +86,27 @@ def parameter(values) -> Tensor:
     return Tensor(values, requires_grad=True)
 
 
+@contextmanager
+def no_grad() -> Iterator[None]:
+    """Record no op inside the block: every output is a constant, so a
+    forward pass builds no tape and each intermediate is freed as soon as
+    nothing reads it."""
+    global _recording
+    previous, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = previous
+
+
 def _record(values: np.ndarray, op: str, inputs: tuple[Tensor, ...],
             adjoint: Callable[[np.ndarray], None]) -> Tensor:
     """The output of ``op``: recorded, with the inputs that need a gradient
     as ``parents`` (the only ones ``adjoint`` may write to), or, when no
-    input needs one, a constant that never reaches a tape."""
+    input needs one or inside ``no_grad``, a constant that never reaches a
+    tape."""
     # a list comprehension costs less than a generator on this per-op path
-    parents = tuple([t for t in inputs if t.requires_grad])
+    parents = tuple([t for t in inputs if t.requires_grad]) if _recording else ()
     if not parents:
         return Tensor(values)
     out = Tensor(values, requires_grad=True)
@@ -159,17 +178,48 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
         t.grad += g
 
 
-def _by_row_blocks(kernel: Callable[..., None], *arrays: np.ndarray) -> None:
+def _by_row_blocks(kernel: Callable[..., object], *arrays: np.ndarray) -> list:
     """Run ``kernel`` on matching row blocks of ``arrays``, each block of
     the first array about ``BLOCK_BYTES``; an array that fits in one block
-    is passed whole."""
+    is passed whole. Returns the kernel's results, one per block, in row
+    order."""
     first = arrays[0]
     if first.nbytes <= BLOCK_BYTES:
-        kernel(*arrays)
-        return
+        return [kernel(*arrays)]
     step = max(1, BLOCK_BYTES // first[0].nbytes)
-    for i in range(0, first.shape[0], step):
-        kernel(*[x[i:i + step] for x in arrays])
+    return [kernel(*[x[i:i + step] for x in arrays])
+            for i in range(0, first.shape[0], step)]
+
+
+def _accumulate_product(t: Tensor, x: np.ndarray, y: np.ndarray) -> None:
+    """Add the contribution ``x @ y`` to ``t.grad``. A product of more than
+    one block is formed a row block at a time straight into the gradient
+    (a fresh buffer for the first contribution), so no temporary of its
+    size exists; every contribution goes through the same blocked product."""
+    out_shape = (x.shape[0], y.shape[1])
+    if 8 * out_shape[0] * out_shape[1] <= BLOCK_BYTES:
+        _accumulate(t, x @ y)
+        return
+    if t.grad is None:
+        t.grad = np.empty(out_shape)
+        _by_row_blocks(lambda out, rows: np.matmul(rows, y, out=out), t.grad, x)
+    else:
+        _by_row_blocks(lambda out, rows: np.add(out, rows @ y, out=out), t.grad, x)
+
+
+def _dot_and_scale(g: np.ndarray, other: np.ndarray | None,
+                   scale: float | None) -> float:
+    """In one pass over row blocks of a ``g`` larger than one block: the
+    gradient of a 0-d operand, ``sum(g * other)`` (``sum(g)`` when
+    ``other`` is None), read before ``g`` is multiplied in place by
+    ``scale`` (skipped when None)."""
+    def kernel(g: np.ndarray, other: np.ndarray | None = None):
+        dot = g.sum() if other is None else np.vdot(g, other)
+        if scale is not None:
+            g *= scale
+        return dot
+
+    return sum(_by_row_blocks(kernel, *([g] if other is None else [g, other])))
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -207,6 +257,13 @@ def subtract(a, b) -> Tensor:
     values = a.values - b.values
 
     def adjoint(g: np.ndarray) -> None:
+        if (g.nbytes > BLOCK_BYTES and a.requires_grad and a.values.ndim == 0
+                and b.shape == g.shape):
+            # one pass over g: the 0-d operand's gradient sum(g), then -g
+            _accumulate(a, _dot_and_scale(g, None, -1.0 if b.requires_grad else None))
+            if b.requires_grad:
+                _accumulate(b, g)
+            return
         ga = None
         if a.requires_grad:
             ga = _unbroadcast(g, a.shape)
@@ -238,11 +295,16 @@ def mul(a, b) -> Tensor:
                 _accumulate(b, _unbroadcast(g * a.values, b.shape))
             return
         # a 0-d operand's gradient is a dot product; it reads g before the
-        # other operand's gradient scales g in place
-        if scalar.requires_grad:
-            _accumulate(scalar, np.vdot(g, other.values))
+        # other operand's gradient scales g in place, in the same pass
+        scale = scalar.values if other.requires_grad else None
+        if scalar.requires_grad and g.nbytes > BLOCK_BYTES:
+            _accumulate(scalar, _dot_and_scale(g, other.values, scale))
+        else:
+            if scalar.requires_grad:
+                _accumulate(scalar, np.vdot(g, other.values))
+            if scale is not None:
+                g *= scale  # a 0-d g may be a numpy scalar, rebound here
         if other.requires_grad:
-            g *= scalar.values
             _accumulate(other, g)
 
     return _record(values, "mul", (a, b), adjoint)
@@ -352,7 +414,7 @@ def matmul(a, b) -> Tensor:
 
     def adjoint(g: np.ndarray) -> None:
         if a.requires_grad:
-            _accumulate(a, g @ b.values.T)
+            _accumulate_product(a, g, b.values.T)
         if b.requires_grad:
             _accumulate(b, _transposed_matmul(a.values, g))
 
@@ -368,11 +430,14 @@ def _distance_block(gram: np.ndarray, row_norms: np.ndarray,
     np.sqrt(gram, out=gram)
 
 
-def _distance_grad_block(g: np.ndarray, values: np.ndarray) -> None:
+def _distance_grad_block(g: np.ndarray, values: np.ndarray,
+                         row_sums: np.ndarray) -> np.ndarray:
     w = np.multiply(values, values)
     w += DISTANCE_EPS
     np.sqrt(w, out=w)
     g /= w
+    g.sum(axis=1, out=row_sums)
+    return g.sum(axis=0)
 
 
 def pairwise_euclidean(e) -> Tensor:
@@ -398,15 +463,26 @@ def pairwise_euclidean(e) -> Tensor:
 
     def adjoint(g: np.ndarray) -> None:
         # w = g / sqrt(d^2 + eps), rebuilt from the distances so no squared
-        # distances outlive the forward pass
-        _by_row_blocks(_distance_grad_block, g, values)
-        np.fill_diagonal(g, 0.0)  # diagonal is constant 0, no gradient
+        # distances outlive the forward pass, and the row and column sums
+        # of w taken in the same pass. The diagonal is constant 0 and has
+        # no gradient; zeroed first, it stays 0 under the division.
+        np.fill_diagonal(g, 0.0)
+        row_sums = np.empty(g.shape[0])
+        first, *rest = _by_row_blocks(_distance_grad_block, g, values, row_sums)
         # d_ij depends on rows i and j alike: pull w and w.T through
-        # without forming w + w.T
-        degree = g.sum(axis=1) + g.sum(axis=0)
+        # without forming w + w.T. The column sums add up block by block
+        # in row order, as numpy's own column sum does.
+        degree = row_sums + sum(rest, first)
         _accumulate(e, degree[:, None] * v - (g @ v + _transposed_matmul(g, v)))
 
     return _record(values, "pairwise_euclidean", (e,), adjoint)
+
+
+def _row_normalize_block(a: np.ndarray, out: np.ndarray, sums: np.ndarray,
+                         denom: np.ndarray) -> None:
+    a.sum(axis=1, out=sums)
+    np.add(sums, DEGREE_EPS, out=denom[:, 0])
+    np.divide(a, denom, out=out)
 
 
 def _row_normalize_grad_block(g: np.ndarray, values: np.ndarray,
@@ -424,13 +500,15 @@ def row_normalize(a) -> Tensor:
     a = as_tensor(a)
     if a.values.ndim != 2:
         raise DimensionError(f"row_normalize expects a matrix, got {a.shape}")
-    sums = a.values.sum(axis=1)
+    # row sums and division in one pass over row blocks; a non-positive
+    # row is reported once every sum is known
+    n = a.shape[0]
+    values, sums, denom = np.empty(a.shape), np.empty(n), np.empty((n, 1))
+    _by_row_blocks(_row_normalize_block, a.values, values, sums, denom)
     if np.any(sums <= 0.0):
         i = int(np.argmin(sums))
         raise NumericalError(
             f"row_normalize: row {i} has non-positive sum {sums[i]!r}")
-    denom = (sums + DEGREE_EPS)[:, None]
-    values = a.values / denom
 
     def adjoint(g: np.ndarray) -> None:
         _by_row_blocks(_row_normalize_grad_block, g, values, denom)

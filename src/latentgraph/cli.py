@@ -20,7 +20,7 @@ import numpy as np
 from . import data_io, synthetic, training
 from .errors import LatentGraphError
 from .graph_learning import embed, soft_adjacency
-from .autodiff import as_tensor
+from .autodiff import no_grad
 
 
 class UsageError(Exception):
@@ -219,8 +219,9 @@ def _cmd_export_graph(args, out_dir: Path) -> int:
     dataset = _load_dataset(args)
     cfg = _train_config(args)
     params, _ = training.train(dataset, cfg)
-    adjacency = soft_adjacency(
-        embed(as_tensor(dataset.X), params.embedder), params.edge).values
+    with no_grad():
+        adjacency = soft_adjacency(
+            embed(dataset.X, params.embedder), params.edge).values
     path = out_dir / "adjacency.csv"
     data_io.export_adjacency(adjacency, dataset.node_ids, path)
     _write_run_info(out_dir, args, {"n_nodes": dataset.n_nodes})

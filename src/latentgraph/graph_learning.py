@@ -23,8 +23,9 @@ from .autodiff import Tensor
 from .errors import ContractError, DimensionError
 
 # One dense N x N float64 matrix is 8 * N^2 bytes (3.2 GB at the cap), and a
-# training step holds about 8 of them at its peak: ~26 GB at the cap. The
-# cap bounds the matrix size only; it does not check available memory.
+# training step holds about 7 of them at its peak (6.2 traced at N=2000):
+# ~22 GB at the cap. The cap bounds the matrix size only; it does not check
+# available memory.
 MAX_GRAPH_NODES = 20_000
 
 # Effective temperature at initialization; softplus(raw) == this value.
@@ -115,8 +116,10 @@ def init_edge_params(initial_embedding) -> EdgeParams:
         threshold = 1.0
     else:
         dists = ad.pairwise_euclidean(values).values
-        off_diag = dists[~np.eye(n, dtype=bool)]
-        threshold = float(np.median(off_diag))
+        # the distances are exactly symmetric, so the median of the upper
+        # triangle is the off-diagonal median, bit for bit
+        upper = np.concatenate([dists[i, i + 1:] for i in range(n - 1)])
+        threshold = float(np.median(upper, overwrite_input=True))
     raw_temperature = float(np.log(np.expm1(INITIAL_TEMPERATURE)))
     return EdgeParams(
         raw_temperature=ad.parameter(np.asarray(raw_temperature)),

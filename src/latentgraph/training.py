@@ -286,7 +286,8 @@ def evaluate(params: gcn.ModelParams, dataset, mask,
     idx = ad.row_indices(mask, x.shape[0])
     if idx.size == 0:
         raise ContractError("evaluation mask must be non-empty")
-    logits = gcn.forward(x, params, adjacency=adjacency)
+    with ad.no_grad():
+        logits = gcn.forward(x, params, adjacency=adjacency)
     probs = ad.softmax_rows(logits.values)
     preds = gcn.predict(logits)
     accuracy = float(np.mean(preds[idx] == y[idx]))
@@ -353,7 +354,8 @@ def inductive_infer(params: gcn.ModelParams, train_X, test_X) -> np.ndarray:
     if train_X.shape[1] != test_X.shape[1]:
         raise DimensionError(
             f"test features have width {test_X.shape[1]}, expected {train_X.shape[1]}")
-    logits = gcn.forward(np.vstack([train_X, test_X]), params)
+    with ad.no_grad():
+        logits = gcn.forward(np.vstack([train_X, test_X]), params)
     return gcn.predict(logits)[train_X.shape[0]:]
 
 

@@ -243,10 +243,27 @@ class TestBackward:
         ad.backward(ad.mul(ad.subtract(2.0, t), 3.0))
         assert t.grad == -3.0
 
+    def test_no_grad_records_nothing_and_is_restored_after_an_error(self):
+        w = ad.parameter(RNG.normal(size=(2, 3)))
+        with pytest.raises(ContractError):
+            with ad.no_grad():
+                out = ad.sum_all(ad.sigmoid(w))
+                assert out.op is None and not out.requires_grad
+                raise ContractError("leaves the block")
+        assert ad.sum_all(ad.sigmoid(w)).op == "sum_all"
+
     def test_subtract_of_a_tensor_from_itself_gives_zero(self):
         w = ad.parameter(RNG.normal(size=(2, 3)))
         ad.backward(ad.sum_all(ad.mul(ad.subtract(w, w), RNG.normal(size=(2, 3)))))
         assert np.array_equal(w.grad, np.zeros((2, 3)))
+
+
+def pairwise_gradient(w, e):
+    """Gradient of sum(w * D(e)) per pair, with the smoothed denominator."""
+    diff = e[:, None, :] - e[None, :, :]
+    s = (w + w.T) / np.sqrt((diff ** 2).sum(axis=-1) + ad.DISTANCE_EPS)
+    np.fill_diagonal(s, 0.0)
+    return [(s[:, :, None] * diff).sum(axis=1)]
 
 
 def forward_and_gradients(op, values, weight):
@@ -301,6 +318,32 @@ class TestRowBlocks:
         d = ad.pairwise_euclidean(RNG.normal(size=(self.N, 5))).values
         assert np.array_equal(d, d.T)
         assert np.array_equal(np.diag(d), np.zeros(self.N))
+
+    def test_row_normalize_names_a_row_in_a_later_block(self, one_row_blocks):
+        a = RNG.uniform(0.5, 1.0, size=(self.N, self.N))
+        a[6] = 0.0
+        with pytest.raises(NumericalError, match="row 6 "):
+            ad.row_normalize(a)
+
+    @pytest.mark.parametrize("op, shapes, expected", [
+        (ad.subtract, [(), (N, N)], lambda w, p, q: [w.sum(), -w]),
+        (ad.subtract, [(N, N), ()], lambda w, p, q: [w, -w.sum()]),
+        (ad.mul, [(), (N, N)], lambda w, p, q: [(w * q).sum(), w * p]),
+        (ad.mul, [(N, N), ()], lambda w, p, q: [w * q, (w * p).sum()]),
+        (ad.pairwise_euclidean, [(N, 4)], pairwise_gradient),
+        (lambda a, b, c: ad.add(ad.matmul(a, b), ad.matmul(a, c)), [(N, N), (N, 2), (N, 2)],
+         lambda w, a, b, c: [w @ (b + c).T, a.T @ w, a.T @ w]),
+    ], ids=["subtract_scalar", "subtract_scalar_right", "mul_scalar", "mul_scalar_right",
+            "pairwise_euclidean", "matmul_two_contributions"])
+    def test_adjoints_match_closed_forms_in_multi_row_blocks(self, op, shapes, expected,
+                                                              monkeypatch):
+        # three rows per block: a partial sum or product per block
+        monkeypatch.setattr(ad, "BLOCK_BYTES", 8 * self.N * 3)
+        values = [RNG.uniform(-1.0, 1.0, size=s) for s in shapes]
+        weight = RNG.normal(size=op(*values).shape)
+        _, grads = forward_and_gradients(op, values, weight)
+        for got, want in zip(grads, expected(weight, *values)):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
 
     def test_blocked_ops_match_finite_differences(self, monkeypatch):
         # every array of more than one element is cut into single rows, and

@@ -283,6 +283,20 @@ class TestTrainInferExport:
             assert name == f"[{edges[b]}, {edges[b + 1]})"
             assert f'{node_id},{label},"{name}"\n' in text
 
+    def test_export_graph_records_no_tape(self, data_csv, tmp_path, monkeypatch):
+        soft_adjacency = cli.soft_adjacency
+        outputs = []
+
+        def recording_soft_adjacency(*args):
+            outputs.append(soft_adjacency(*args))
+            return outputs[-1]
+
+        monkeypatch.setattr(cli, "soft_adjacency", recording_soft_adjacency)
+        code = cli.run(["export-graph", "--data", str(data_csv),
+                        "--label-col", "dx", "--out-dir", str(tmp_path / "eg"), *FAST_FLAGS])
+        assert code == 0
+        assert len(outputs) == 1 and outputs[0].op is None
+
     def test_export_graph_round_trips(self, data_csv, tmp_path):
         out = tmp_path / "eg"
         code = cli.run(["export-graph", "--data", str(data_csv),

@@ -106,6 +106,13 @@ class TestInitEdgeParams:
         params = gl.init_edge_params(e)
         assert abs(params.threshold.values - expected) < 1e-12
 
+    @pytest.mark.parametrize("n", [5, 6], ids=["even_pairs", "odd_pairs"])
+    def test_threshold_has_the_bits_of_the_off_diagonal_median(self, n):
+        e = RNG.normal(size=(n, 3))
+        dists = ad.pairwise_euclidean(e).values
+        expected = np.median(dists[~np.eye(n, dtype=bool)])
+        assert gl.init_edge_params(e).threshold.values.tobytes() == expected.tobytes()
+
     def test_single_row_defaults_to_one(self):
         params = gl.init_edge_params(np.zeros((1, 3)))
         assert params.threshold.values == 1.0

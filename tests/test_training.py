@@ -291,41 +291,69 @@ class TestTrain:
         assert all(diffs)
 
     def test_training_step_holds_at_most_nine_nxn_buffers(self, monkeypatch):
-        # the model of the train_n2000 benchmark at N=400; one N x N float64
-        # buffer is 8 * N^2 bytes. A step runs from the end of one Adam
-        # update to the end of the next, so a tape kept from the previous
-        # epoch counts against the next step.
-        n = 400
-        dataset = synthetic.make_classification_dataset(n_nodes=n, seed=0)
-        cfg = tr.TrainConfig(epochs=3, embed_hidden=(), embed_dim=16, gc_widths=(16, 8))
-        forward, adam_step = gcn.forward, tr.adam_step
-        held_before = []
-        peaks = []
-
-        def marked_forward(*args, **kwargs):
-            if not held_before:  # lazy imports and parameters, not the step
-                held_before.append(tracemalloc.get_traced_memory()[0])
-                tracemalloc.reset_peak()
-            return forward(*args, **kwargs)
-
-        def traced_adam_step(state, lr):
-            adam_step(state, lr)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-            tracemalloc.reset_peak()
-
-        monkeypatch.setattr(gcn, "forward", marked_forward)
-        monkeypatch.setattr(tr, "adam_step", traced_adam_step)
-        tracemalloc.start()
-        try:
-            tr.train(dataset, cfg, np.arange(n)[: n * 9 // 10])
-        finally:
-            tracemalloc.stop()
-        assert len(peaks) == cfg.epochs
-        buffers = (max(peaks) - held_before[0]) / (8.0 * n * n)
+        buffers = traced_step_buffers(monkeypatch)
         assert buffers <= 9.0, f"{buffers:.2f} N x N buffers"
+
+    def test_backward_forms_no_nxn_temporary(self, monkeypatch):
+        # the N x N gradients are formed in row blocks straight into one
+        # buffer, so the peak is the five recorded N x N links of the
+        # learned-graph chain, one gradient and blocks
+        buffers = traced_step_buffers(monkeypatch)
+        assert buffers <= 7.0, f"{buffers:.2f} N x N buffers"
+
+
+def traced_step_buffers(monkeypatch):
+    """Peak traced memory of a training step in N x N float64 buffers
+    (8 * N^2 bytes each), for the model of the train_n2000 benchmark at
+    N=400. A step runs from the end of one Adam update to the end of the
+    next, so a tape kept from the previous epoch counts against the next
+    step."""
+    n = 400
+    dataset = synthetic.make_classification_dataset(n_nodes=n, seed=0)
+    cfg = tr.TrainConfig(epochs=3, embed_hidden=(), embed_dim=16, gc_widths=(16, 8))
+    forward, adam_step = gcn.forward, tr.adam_step
+    held_before = []
+    peaks = []
+
+    def marked_forward(*args, **kwargs):
+        if not held_before:  # lazy imports and parameters, not the step
+            held_before.append(tracemalloc.get_traced_memory()[0])
+            tracemalloc.reset_peak()
+        return forward(*args, **kwargs)
+
+    def traced_adam_step(state, lr):
+        adam_step(state, lr)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.reset_peak()
+
+    monkeypatch.setattr(gcn, "forward", marked_forward)
+    monkeypatch.setattr(tr, "adam_step", traced_adam_step)
+    tracemalloc.start()
+    try:
+        tr.train(dataset, cfg, np.arange(n)[: n * 9 // 10])
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) == cfg.epochs
+    return (max(peaks) - held_before[0]) / (8.0 * n * n)
 
 
 class TestEvaluate:
+    def test_evaluate_and_inductive_infer_record_no_tape(self, blobs, monkeypatch):
+        params, _ = tr.train(blobs, tr.TrainConfig(seed=0, **{**FAST, "epochs": 2}))
+        forward = gcn.forward
+        outputs = []
+
+        def recording_forward(*args, **kwargs):
+            outputs.append(forward(*args, **kwargs))
+            return outputs[-1]
+
+        monkeypatch.setattr(gcn, "forward", recording_forward)
+        tr.evaluate(params, blobs, np.arange(blobs.n_nodes))
+        tr.inductive_infer(params, blobs.X[:30], blobs.X[30:])
+        assert len(outputs) == 2
+        assert all(t.op is None and not t.requires_grad for t in outputs)
+        assert forward(blobs.X, params).op is not None
+
     def test_perfect_predictions(self, blobs):
         cfg = tr.TrainConfig(seed=0, **FAST)
         params, _ = tr.train(blobs, cfg)
