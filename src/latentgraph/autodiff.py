@@ -6,15 +6,16 @@ recorded graph is dynamic: it is rebuilt on every forward pass, and
 ``backward`` replays the adjoints in reverse execution order. Only
 tensors that depend on a parameter are recorded and get a gradient:
 constants (features, a static adjacency, targets) are never on the tape,
-and their ``grad`` stays None; inside ``no_grad`` nothing is recorded. A tensor's first gradient contribution
-becomes its buffer and later ones are added into it; a recorded tensor's
-gradient is released when its adjoint runs, and the adjoint may overwrite
-it, so after ``backward`` only the leaves and the root hold one. The N x N
-kernels make their passes over row blocks that stay in cache, and an N x N
-gradient is written block by block into its one buffer. The engine is
-deliberately small; it supports exactly the operations the
-graph-learning models need, all in double precision so that gradients can
-be validated against central finite differences to tight tolerances.
+and their ``grad`` stays None; inside ``no_grad`` nothing is recorded.
+A tensor's first gradient contribution becomes its buffer and later ones
+are added into it; a recorded tensor's gradient is released when its
+adjoint runs, and the adjoint may overwrite it, so after ``backward`` only
+the leaves and the root hold one. The N x N kernels make their passes over
+row blocks that stay in cache, and an N x N gradient is written block by
+block into its one buffer. The engine is deliberately small; it supports
+exactly the operations the graph-learning models need, all in double
+precision so that gradients can be validated against central finite
+differences to tight tolerances.
 """
 
 from __future__ import annotations
@@ -192,16 +193,12 @@ def _by_row_blocks(kernel: Callable[..., object], *arrays: np.ndarray) -> list:
 
 
 def _accumulate_product(t: Tensor, x: np.ndarray, y: np.ndarray) -> None:
-    """Add the contribution ``x @ y`` to ``t.grad``. A product of more than
-    one block is formed a row block at a time straight into the gradient
-    (a fresh buffer for the first contribution), so no temporary of its
-    size exists; every contribution goes through the same blocked product."""
-    out_shape = (x.shape[0], y.shape[1])
-    if 8 * out_shape[0] * out_shape[1] <= BLOCK_BYTES:
-        _accumulate(t, x @ y)
-        return
+    """Add the contribution ``x @ y`` to ``t.grad``. The product is formed
+    a row block at a time straight into the gradient (a fresh buffer for the
+    first contribution), so no temporary of its size exists; every
+    contribution goes through the same blocked product."""
     if t.grad is None:
-        t.grad = np.empty(out_shape)
+        t.grad = np.empty((x.shape[0], y.shape[1]))
         _by_row_blocks(lambda out, rows: np.matmul(rows, y, out=out), t.grad, x)
     else:
         _by_row_blocks(lambda out, rows: np.add(out, rows @ y, out=out), t.grad, x)
@@ -209,10 +206,9 @@ def _accumulate_product(t: Tensor, x: np.ndarray, y: np.ndarray) -> None:
 
 def _dot_and_scale(g: np.ndarray, other: np.ndarray | None,
                    scale: float | None) -> float:
-    """In one pass over row blocks of a ``g`` larger than one block: the
-    gradient of a 0-d operand, ``sum(g * other)`` (``sum(g)`` when
-    ``other`` is None), read before ``g`` is multiplied in place by
-    ``scale`` (skipped when None)."""
+    """In one pass over row blocks of ``g``: the gradient of a 0-d operand,
+    ``sum(g * other)`` (``sum(g)`` when ``other`` is None), read before
+    ``g`` is multiplied in place by ``scale`` (skipped when None)."""
     def kernel(g: np.ndarray, other: np.ndarray | None = None):
         dot = g.sum() if other is None else np.vdot(g, other)
         if scale is not None:
@@ -257,8 +253,8 @@ def subtract(a, b) -> Tensor:
     values = a.values - b.values
 
     def adjoint(g: np.ndarray) -> None:
-        if (g.nbytes > BLOCK_BYTES and a.requires_grad and a.values.ndim == 0
-                and b.shape == g.shape):
+        g = np.asarray(g)  # the g of a 0-d output may be a numpy scalar
+        if a.requires_grad and a.values.ndim == 0 and b.shape == g.shape:
             # one pass over g: the 0-d operand's gradient sum(g), then -g
             _accumulate(a, _dot_and_scale(g, None, -1.0 if b.requires_grad else None))
             if b.requires_grad:
@@ -271,8 +267,8 @@ def subtract(a, b) -> Tensor:
         if b.requires_grad:
             gb = _unbroadcast(g, b.shape)
             # g is this adjoint's own to negate in place, unless a took it
-            # as its buffer or it is 0-d (a numpy scalar has no buffer)
-            in_place = gb is g and ga is not g and g.ndim
+            # as its buffer
+            in_place = gb is g and ga is not g
             _accumulate(b, np.negative(gb, out=g if in_place else None))
 
     return _record(values, "subtract", (a, b), adjoint)
@@ -284,6 +280,7 @@ def mul(a, b) -> Tensor:
     values = a.values * b.values
 
     def adjoint(g: np.ndarray) -> None:
+        g = np.asarray(g)  # the g of a 0-d output may be a numpy scalar
         if a.values.ndim == 0 and b.shape == g.shape:
             scalar, other = a, b
         elif b.values.ndim == 0 and a.shape == g.shape:
@@ -297,13 +294,10 @@ def mul(a, b) -> Tensor:
         # a 0-d operand's gradient is a dot product; it reads g before the
         # other operand's gradient scales g in place, in the same pass
         scale = scalar.values if other.requires_grad else None
-        if scalar.requires_grad and g.nbytes > BLOCK_BYTES:
+        if scalar.requires_grad:
             _accumulate(scalar, _dot_and_scale(g, other.values, scale))
-        else:
-            if scalar.requires_grad:
-                _accumulate(scalar, np.vdot(g, other.values))
-            if scale is not None:
-                g *= scale  # a 0-d g may be a numpy scalar, rebound here
+        elif scale is not None:
+            g *= scale
         if other.requires_grad:
             _accumulate(other, g)
 
@@ -430,14 +424,14 @@ def _distance_block(gram: np.ndarray, row_norms: np.ndarray,
     np.sqrt(gram, out=gram)
 
 
-def _distance_grad_block(g: np.ndarray, values: np.ndarray,
-                         row_sums: np.ndarray) -> np.ndarray:
+def _distance_grad_block(g: np.ndarray, values: np.ndarray, row_sums: np.ndarray,
+                         col_sums: np.ndarray) -> None:
     w = np.multiply(values, values)
     w += DISTANCE_EPS
     np.sqrt(w, out=w)
     g /= w
     g.sum(axis=1, out=row_sums)
-    return g.sum(axis=0)
+    col_sums += g.sum(axis=0)
 
 
 def pairwise_euclidean(e) -> Tensor:
@@ -467,12 +461,15 @@ def pairwise_euclidean(e) -> Tensor:
         # of w taken in the same pass. The diagonal is constant 0 and has
         # no gradient; zeroed first, it stays 0 under the division.
         np.fill_diagonal(g, 0.0)
-        row_sums = np.empty(g.shape[0])
-        first, *rest = _by_row_blocks(_distance_grad_block, g, values, row_sums)
+        row_sums, col_sums = np.empty(g.shape[0]), np.zeros(g.shape[0])
+        # every block adds into one col_sums vector, so the extra memory
+        # stays O(N) however many blocks there are
+        _by_row_blocks(lambda g, values, row_sums:
+                       _distance_grad_block(g, values, row_sums, col_sums),
+                       g, values, row_sums)
         # d_ij depends on rows i and j alike: pull w and w.T through
-        # without forming w + w.T. The column sums add up block by block
-        # in row order, as numpy's own column sum does.
-        degree = row_sums + sum(rest, first)
+        # without forming w + w.T
+        degree = row_sums + col_sums
         _accumulate(e, degree[:, None] * v - (g @ v + _transposed_matmul(g, v)))
 
     return _record(values, "pairwise_euclidean", (e,), adjoint)

@@ -23,7 +23,7 @@ from .autodiff import Tensor
 from .errors import ContractError, DimensionError
 
 # One dense N x N float64 matrix is 8 * N^2 bytes (3.2 GB at the cap), and a
-# training step holds about 7 of them at its peak (6.2 traced at N=2000):
+# training step holds about 7 of them at its peak (6.1 traced at N=2000):
 # ~22 GB at the cap. The cap bounds the matrix size only; it does not check
 # available memory.
 MAX_GRAPH_NODES = 20_000

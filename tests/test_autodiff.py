@@ -1,5 +1,6 @@
 import ast
 import inspect
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -344,6 +345,22 @@ class TestRowBlocks:
         _, grads = forward_and_gradients(op, values, weight)
         for got, want in zip(grads, expected(weight, *values)):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
+
+    def test_pairwise_adjoint_holds_no_nxn_temporary_in_one_row_blocks(self, monkeypatch):
+        # one row per block is the most blocks an N x N adjoint can take;
+        # its extra memory must stay a few N-vectors, far below one N x N
+        # buffer, however many blocks there are
+        n = 300
+        monkeypatch.setattr(ad, "BLOCK_BYTES", 8 * n)
+        out = ad.pairwise_euclidean(ad.parameter(RNG.normal(size=(n, 3))))
+        g = RNG.normal(size=(n, n))
+        tracemalloc.start()
+        try:
+            out._adjoint(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * 8 * n * n
 
     def test_blocked_ops_match_finite_differences(self, monkeypatch):
         # every array of more than one element is cut into single rows, and
