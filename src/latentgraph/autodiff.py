@@ -179,17 +179,17 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
         t.grad += g
 
 
-def _by_row_blocks(kernel: Callable[..., object], *arrays: np.ndarray) -> list:
-    """Run ``kernel`` on matching row blocks of ``arrays``, each block of
-    the first array about ``BLOCK_BYTES``; an array that fits in one block
-    is passed whole. Returns the kernel's results, one per block, in row
-    order."""
+def _by_row_blocks(kernel: Callable[..., object], *arrays: np.ndarray) -> None:
+    """Run ``kernel`` on matching row blocks of ``arrays``, in row order,
+    each block of the first array about ``BLOCK_BYTES``; an array that fits
+    in one block is passed whole."""
     first = arrays[0]
     if first.nbytes <= BLOCK_BYTES:
-        return [kernel(*arrays)]
+        kernel(*arrays)
+        return
     step = max(1, BLOCK_BYTES // first[0].nbytes)
-    return [kernel(*[x[i:i + step] for x in arrays])
-            for i in range(0, first.shape[0], step)]
+    for i in range(0, first.shape[0], step):
+        kernel(*[x[i:i + step] for x in arrays])
 
 
 def _accumulate_product(t: Tensor, x: np.ndarray, y: np.ndarray) -> None:
@@ -202,20 +202,6 @@ def _accumulate_product(t: Tensor, x: np.ndarray, y: np.ndarray) -> None:
         _by_row_blocks(lambda out, rows: np.matmul(rows, y, out=out), t.grad, x)
     else:
         _by_row_blocks(lambda out, rows: np.add(out, rows @ y, out=out), t.grad, x)
-
-
-def _dot_and_scale(g: np.ndarray, other: np.ndarray | None,
-                   scale: float | None) -> float:
-    """In one pass over row blocks of ``g``: the gradient of a 0-d operand,
-    ``sum(g * other)`` (``sum(g)`` when ``other`` is None), read before
-    ``g`` is multiplied in place by ``scale`` (skipped when None)."""
-    def kernel(g: np.ndarray, other: np.ndarray | None = None):
-        dot = g.sum() if other is None else np.vdot(g, other)
-        if scale is not None:
-            g *= scale
-        return dot
-
-    return sum(_by_row_blocks(kernel, *([g] if other is None else [g, other])))
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -254,12 +240,6 @@ def subtract(a, b) -> Tensor:
 
     def adjoint(g: np.ndarray) -> None:
         g = np.asarray(g)  # the g of a 0-d output may be a numpy scalar
-        if a.requires_grad and a.values.ndim == 0 and b.shape == g.shape:
-            # one pass over g: the 0-d operand's gradient sum(g), then -g
-            _accumulate(a, _dot_and_scale(g, None, -1.0 if b.requires_grad else None))
-            if b.requires_grad:
-                _accumulate(b, g)
-            return
         ga = None
         if a.requires_grad:
             ga = _unbroadcast(g, a.shape)
@@ -280,26 +260,10 @@ def mul(a, b) -> Tensor:
     values = a.values * b.values
 
     def adjoint(g: np.ndarray) -> None:
-        g = np.asarray(g)  # the g of a 0-d output may be a numpy scalar
-        if a.values.ndim == 0 and b.shape == g.shape:
-            scalar, other = a, b
-        elif b.values.ndim == 0 and a.shape == g.shape:
-            scalar, other = b, a
-        else:
-            if a.requires_grad:
-                _accumulate(a, _unbroadcast(g * b.values, a.shape))
-            if b.requires_grad:
-                _accumulate(b, _unbroadcast(g * a.values, b.shape))
-            return
-        # a 0-d operand's gradient is a dot product; it reads g before the
-        # other operand's gradient scales g in place, in the same pass
-        scale = scalar.values if other.requires_grad else None
-        if scalar.requires_grad:
-            _accumulate(scalar, _dot_and_scale(g, other.values, scale))
-        elif scale is not None:
-            g *= scale
-        if other.requires_grad:
-            _accumulate(other, g)
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g * b.values, a.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g * a.values, b.shape))
 
     return _record(values, "mul", (a, b), adjoint)
 
@@ -330,39 +294,79 @@ def relu(a) -> Tensor:
     return _record(values, "relu", (a,), adjoint)
 
 
-def _sigmoid_block(x: np.ndarray, out: np.ndarray) -> None:
-    np.negative(x, out=out)
+def _sigmoid_block(x: np.ndarray, out: np.ndarray, t=None, theta=None) -> None:
+    if t is None:
+        np.negative(x, out=out)
+    else:
+        # t * (x - theta) has the same bits as -(t * (theta - x))
+        np.subtract(x, theta, out=out)
+        out *= t
     np.exp(out, out=out)
     out += 1.0
     np.reciprocal(out, out=out)
 
 
-def _sigmoid_values(x: np.ndarray) -> np.ndarray:
-    # 1 / (1 + exp(-x)) in one buffer. exp overflows for x < -709.78 (result
-    # 0, where the exact value is subnormal) and underflows for large x
+def _sigmoid_values(x: np.ndarray, t=None, theta=None) -> np.ndarray:
+    # 1 / (1 + exp(-z)) in one buffer. exp overflows for z < -709.78 (result
+    # 0, where the exact value is subnormal) and underflows for large z
     # (result 1); both saturations are benign, so their flags are silenced.
     out = np.empty_like(x)
     with np.errstate(over="ignore", under="ignore"):
-        _by_row_blocks(_sigmoid_block, x, out)
+        _by_row_blocks(lambda x, out: _sigmoid_block(x, out, t, theta), x, out)
     return out
 
 
-def _sigmoid_grad_block(g: np.ndarray, s: np.ndarray) -> None:
+def _sigmoid_grad_block(g: np.ndarray, s: np.ndarray, x=None, t=None, theta=None,
+                        sums=None) -> None:
     d = np.subtract(1.0, s)
     d *= s
     g *= d
+    if t is None:
+        return
+    # t's gradient reads g before it is scaled, theta's after; d is reused
+    # for theta - x. Scaling by -t gives x's gradient in one pass and the
+    # same bits as scaling by t and negating.
+    np.subtract(theta, x, out=d)
+    sums[0] += np.vdot(g, d)
+    g *= -t
+    sums[1] -= g.sum()
 
 
-def sigmoid(a) -> Tensor:
+def sigmoid(a, temperature=None, threshold=None) -> Tensor:
+    """Elementwise sigmoid(a), or sigmoid(temperature * (threshold - a))
+    when given the two 0-d tensors: the edge weights of a learned graph
+    in one op, so neither the affine map nor its inputs' difference is
+    recorded. Its adjoint rebuilds threshold - a a row block at a time."""
     a = as_tensor(a)
-    values = _sigmoid_values(a.values)
+    if temperature is None:
+        values = _sigmoid_values(a.values)
+        inputs = (a,)
+    else:
+        t, theta = as_tensor(temperature), as_tensor(threshold)
+        if threshold is None or t.values.ndim or theta.values.ndim:
+            raise DimensionError(
+                "sigmoid expects a 0-d temperature and a 0-d threshold, got "
+                f"{t.shape} and {None if threshold is None else theta.shape}")
+        values = _sigmoid_values(a.values, t.values, theta.values)
+        inputs = (a, t, theta)
 
     def adjoint(g: np.ndarray) -> None:
         g = np.asarray(g)  # the g of a 0-d output may be a numpy scalar
-        _by_row_blocks(_sigmoid_grad_block, g, values)
-        _accumulate(a, g)
+        if temperature is None:
+            _by_row_blocks(_sigmoid_grad_block, g, values)
+        else:
+            # one 2-vector collects the sums of every block, in row order
+            sums = np.zeros(2)
+            _by_row_blocks(lambda g, s, x: _sigmoid_grad_block(
+                g, s, x, t.values, theta.values, sums), g, values, a.values)
+            if t.requires_grad:
+                _accumulate(t, sums[0])
+            if theta.requires_grad:
+                _accumulate(theta, sums[1])
+        if a.requires_grad:
+            _accumulate(a, g)
 
-    return _record(values, "sigmoid", (a,), adjoint)
+    return _record(values, "sigmoid", inputs, adjoint)
 
 
 def tanh(a) -> Tensor:

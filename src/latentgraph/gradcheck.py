@@ -70,6 +70,7 @@ def op_checks(seed: int = 0, instances: int = 10) -> dict[str, float]:
         "sum_all": (ad.sum_all, [(4, 4)]),
         "relu": (ad.relu, [(4, 4)]),
         "sigmoid": (ad.sigmoid, [(4, 4)]),
+        "sigmoid_affine": (ad.sigmoid, [(5, 5), (), ()]),
         "tanh": (ad.tanh, [(4, 4)]),
         "softplus": (ad.softplus, [(4, 4)]),
         "pairwise_euclidean": (ad.pairwise_euclidean, [(6, 3)]),

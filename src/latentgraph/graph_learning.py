@@ -8,7 +8,9 @@ the embedded pairwise distances,
 
 so edges decay smoothly with embedded distance and the temperature
 sharpens the graph toward a binary one as it grows. Both scalars are
-trained jointly with everything else.
+trained jointly with everything else. The affine map is folded into the
+sigmoid op, so a step records two N x N values here, the distances and
+the edge weights.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from .autodiff import Tensor
 from .errors import ContractError, DimensionError
 
 # One dense N x N float64 matrix is 8 * N^2 bytes (3.2 GB at the cap), and a
-# training step holds about 7 of them at its peak (6.1 traced at N=2000):
-# ~22 GB at the cap. The cap bounds the matrix size only; it does not check
+# training step holds about 5 of them at its peak (4.1 traced at N=2000):
+# ~16 GB at the cap. The cap bounds the matrix size only; it does not check
 # available memory.
 MAX_GRAPH_NODES = 20_000
 
@@ -131,10 +133,11 @@ def soft_adjacency(embedding, edge: EdgeParams) -> Tensor:
     """Weighted adjacency from embedded features.
 
     Entry (i, j) is sigmoid(temperature * (threshold - d_ij)) where d_ij
-    is the embedded Euclidean distance. The result is exactly symmetric,
-    has every entry strictly inside (0, 1) barring float underflow at
-    extreme saturation, equals sigmoid(temperature * threshold) on the
-    diagonal, and is strictly decreasing in distance.
+    is the embedded Euclidean distance; one ``ad.sigmoid`` call on the
+    distances and the two edge scalars computes it. The result is exactly
+    symmetric, has every entry strictly inside (0, 1) barring float
+    underflow at extreme saturation, equals sigmoid(temperature *
+    threshold) on the diagonal, and is strictly decreasing in distance.
     """
     e = ad.as_tensor(embedding)
     n = e.shape[0]
@@ -142,6 +145,4 @@ def soft_adjacency(embedding, edge: EdgeParams) -> Tensor:
         raise ContractError(
             f"{n} nodes exceeds the dense-adjacency cap of {MAX_GRAPH_NODES} "
             f"(an N x N float64 matrix at N={n} is ~{8 * n * n / 1e9:.1f} GB)")
-    distances = ad.pairwise_euclidean(e)
-    temperature = edge.temperature()
-    return ad.sigmoid(ad.mul(temperature, ad.subtract(edge.threshold, distances)))
+    return ad.sigmoid(ad.pairwise_euclidean(e), edge.temperature(), edge.threshold)

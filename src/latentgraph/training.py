@@ -400,15 +400,22 @@ def linear_baseline(dataset, folds: FoldSplit) -> CVMetrics:
 
 
 def knn_adjacency(features: np.ndarray, k_neighbors: int) -> np.ndarray:
-    """Symmetrized binary kNN graph on raw feature distances."""
+    """Symmetrized binary kNN graph on raw feature distances. Each node
+    picks its ``k_neighbors`` nearest other nodes; among equal distances
+    the lowest node indices win."""
     features = np.asarray(features, dtype=np.float64)
     n = features.shape[0]
     if not (0 < k_neighbors < n):
         raise ContractError(f"need 0 < k_neighbors < {n}, got {k_neighbors}")
     dists = ad.pairwise_euclidean(features).values
     np.fill_diagonal(dists, np.inf)
-    adjacency = np.zeros((n, n))
-    neighbor_cols = np.argsort(dists, axis=1, kind="stable")[:, :k_neighbors]
-    rows = np.repeat(np.arange(n), k_neighbors)
-    adjacency[rows, neighbor_cols.ravel()] = 1.0
+    # each row's k-th smallest distance by a partition, not a full sort;
+    # of the columns at exactly that distance the lowest ones are taken,
+    # as a stable sort would take them
+    kth = np.partition(dists, k_neighbors - 1, axis=1)[:, k_neighbors - 1:k_neighbors]
+    chosen = dists < kth
+    tied = dists == kth
+    tied &= np.cumsum(tied, axis=1) <= k_neighbors - chosen.sum(axis=1, keepdims=True)
+    chosen |= tied
+    adjacency = chosen.astype(np.float64)
     return np.maximum(adjacency, adjacency.T)

@@ -371,6 +371,61 @@ class TestRowBlocks:
         assert end_to_end_check(seed=5, instances=2) < END_TO_END_TOLERANCE
 
 
+def affine_chain(d, t, theta):
+    """The edge weights sigmoid(t * (theta - d)) as three recorded ops."""
+    return ad.sigmoid(ad.mul(t, ad.subtract(theta, d)))
+
+
+class TestAffineSigmoid:
+    """``sigmoid(d, t, theta)`` is ``affine_chain`` in one op."""
+
+    N = 9
+
+    def inputs(self):
+        d = ad.pairwise_euclidean(RNG.normal(size=(self.N, 3))).values
+        return [d, np.asarray(1.7), np.asarray(0.9 * np.median(d))]
+
+    @pytest.mark.parametrize("rows_per_block", [None, 1, 4],
+                             ids=["one_block", "one_row_blocks", "four_row_blocks"])
+    def test_matches_the_reference_chain(self, rows_per_block, monkeypatch):
+        if rows_per_block is not None:
+            monkeypatch.setattr(ad, "BLOCK_BYTES", 8 * self.N * rows_per_block)
+        values = self.inputs()
+        weight = RNG.normal(size=(self.N, self.N))
+        fused, fused_grads = forward_and_gradients(ad.sigmoid, values, weight)
+        chain, chain_grads = forward_and_gradients(affine_chain, values, weight)
+        assert np.array_equal(fused, chain)
+        for got, want in zip(fused_grads, chain_grads):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("t_theta", [800.0, -800.0])
+    def test_saturated_values_and_gradients_stay_finite(self, t_theta):
+        values = self.inputs()
+        values[2] = np.asarray(t_theta / values[1])
+        weight = RNG.normal(size=(self.N, self.N))
+        fused, grads = forward_and_gradients(ad.sigmoid, values, weight)
+        chain, _ = forward_and_gradients(affine_chain, values, weight)
+        assert np.array_equal(fused, chain)
+        assert all(np.all(np.isfinite(g)) for g in [fused, *grads])
+
+    def test_constant_distances_get_no_grad(self):
+        d, t, theta = self.inputs()
+        weight = RNG.normal(size=(self.N, self.N))
+        _, grads = forward_and_gradients(ad.sigmoid, [d, t, theta], weight)
+        scalars = [ad.parameter(t), ad.parameter(theta)]
+        distances = ad.as_tensor(d)
+        ad.backward(ad.sum_all(ad.mul(ad.sigmoid(distances, *scalars), weight)))
+        assert distances.grad is None
+        assert [p.grad for p in scalars] == grads[1:]
+
+    @pytest.mark.parametrize("temperature, threshold", [
+        (np.ones(3), 0.5), (1.0, np.ones((1, 1))), (1.0, None)],
+        ids=["vector_temperature", "matrix_threshold", "no_threshold"])
+    def test_edge_scalars_must_be_two_0d_inputs(self, temperature, threshold):
+        with pytest.raises(DimensionError, match="0-d"):
+            ad.sigmoid(np.zeros((3, 3)), temperature, threshold)
+
+
 class TestGradientBuffers:
     """An adjoint may write into the gradient it receives, so no two
     tensors may end up holding one buffer, and no buffer may be written
