@@ -294,19 +294,17 @@ def relu(a) -> Tensor:
     return _record(values, "relu", (a,), adjoint)
 
 
-def _sigmoid_block(x: np.ndarray, out: np.ndarray, t=None, theta=None) -> None:
-    if t is None:
-        np.negative(x, out=out)
-    else:
-        # t * (x - theta) has the same bits as -(t * (theta - x))
-        np.subtract(x, theta, out=out)
-        out *= t
+def _sigmoid_block(x: np.ndarray, out: np.ndarray, t, theta) -> None:
+    # t * (x - theta) has the same bits as -(t * (theta - x)), and at
+    # t = -1, theta = 0 the same bits as -x
+    np.subtract(x, theta, out=out)
+    out *= t
     np.exp(out, out=out)
     out += 1.0
     np.reciprocal(out, out=out)
 
 
-def _sigmoid_values(x: np.ndarray, t=None, theta=None) -> np.ndarray:
+def _sigmoid_values(x: np.ndarray, t=-1.0, theta=0.0) -> np.ndarray:
     # 1 / (1 + exp(-z)) in one buffer. exp overflows for z < -709.78 (result
     # 0, where the exact value is subnormal) and underflows for large z
     # (result 1); both saturations are benign, so their flags are silenced.
@@ -316,57 +314,53 @@ def _sigmoid_values(x: np.ndarray, t=None, theta=None) -> np.ndarray:
     return out
 
 
-def _sigmoid_grad_block(g: np.ndarray, s: np.ndarray, x=None, t=None, theta=None,
-                        sums=None) -> None:
+def _sigmoid_grad_block(g: np.ndarray, s: np.ndarray, x: np.ndarray, t, theta,
+                        sums: np.ndarray | None) -> None:
     d = np.subtract(1.0, s)
     d *= s
     g *= d
-    if t is None:
-        return
     # t's gradient reads g before it is scaled, theta's after; d is reused
     # for theta - x. Scaling by -t gives x's gradient in one pass and the
     # same bits as scaling by t and negating.
-    np.subtract(theta, x, out=d)
-    sums[0] += np.vdot(g, d)
+    if sums is not None:
+        np.subtract(theta, x, out=d)
+        sums[0] += np.vdot(g, d)
     g *= -t
-    sums[1] -= g.sum()
+    if sums is not None:
+        sums[1] -= g.sum()
 
 
 def sigmoid(a, temperature=None, threshold=None) -> Tensor:
-    """Elementwise sigmoid(a), or sigmoid(temperature * (threshold - a))
-    when given the two 0-d tensors: the edge weights of a learned graph
-    in one op, so neither the affine map nor its inputs' difference is
-    recorded. Its adjoint rebuilds threshold - a a row block at a time."""
+    """Elementwise sigmoid(temperature * (threshold - a)) for two 0-d
+    tensors: the edge weights of a learned graph in one op, so neither the
+    affine map nor its inputs' difference is recorded. Its adjoint rebuilds
+    threshold - a a row block at a time. Called with neither scalar it is
+    the plain sigmoid(a): the same op at temperature -1 and threshold 0."""
     a = as_tensor(a)
-    if temperature is None:
-        values = _sigmoid_values(a.values)
-        inputs = (a,)
-    else:
-        t, theta = as_tensor(temperature), as_tensor(threshold)
-        if threshold is None or t.values.ndim or theta.values.ndim:
-            raise DimensionError(
-                "sigmoid expects a 0-d temperature and a 0-d threshold, got "
-                f"{t.shape} and {None if threshold is None else theta.shape}")
-        values = _sigmoid_values(a.values, t.values, theta.values)
-        inputs = (a, t, theta)
+    if temperature is None and threshold is None:
+        temperature, threshold = -1.0, 0.0
+    t = None if temperature is None else as_tensor(temperature)
+    theta = None if threshold is None else as_tensor(threshold)
+    if t is None or theta is None or t.values.ndim or theta.values.ndim:
+        raise DimensionError(
+            "sigmoid expects a 0-d temperature and a 0-d threshold, got "
+            f"{getattr(t, 'shape', None)} and {getattr(theta, 'shape', None)}")
+    values = _sigmoid_values(a.values, t.values, theta.values)
 
     def adjoint(g: np.ndarray) -> None:
         g = np.asarray(g)  # the g of a 0-d output may be a numpy scalar
-        if temperature is None:
-            _by_row_blocks(_sigmoid_grad_block, g, values)
-        else:
-            # one 2-vector collects the sums of every block, in row order
-            sums = np.zeros(2)
-            _by_row_blocks(lambda g, s, x: _sigmoid_grad_block(
-                g, s, x, t.values, theta.values, sums), g, values, a.values)
-            if t.requires_grad:
-                _accumulate(t, sums[0])
-            if theta.requires_grad:
-                _accumulate(theta, sums[1])
+        # one 2-vector collects the sums of every block, in row order
+        sums = np.zeros(2) if t.requires_grad or theta.requires_grad else None
+        _by_row_blocks(lambda g, s, x: _sigmoid_grad_block(
+            g, s, x, t.values, theta.values, sums), g, values, a.values)
+        if t.requires_grad:
+            _accumulate(t, sums[0])
+        if theta.requires_grad:
+            _accumulate(theta, sums[1])
         if a.requires_grad:
             _accumulate(a, g)
 
-    return _record(values, "sigmoid", inputs, adjoint)
+    return _record(values, "sigmoid", (a, t, theta), adjoint)
 
 
 def tanh(a) -> Tensor:

@@ -409,13 +409,8 @@ def knn_adjacency(features: np.ndarray, k_neighbors: int) -> np.ndarray:
         raise ContractError(f"need 0 < k_neighbors < {n}, got {k_neighbors}")
     dists = ad.pairwise_euclidean(features).values
     np.fill_diagonal(dists, np.inf)
-    # each row's k-th smallest distance by a partition, not a full sort;
-    # of the columns at exactly that distance the lowest ones are taken,
-    # as a stable sort would take them
-    kth = np.partition(dists, k_neighbors - 1, axis=1)[:, k_neighbors - 1:k_neighbors]
-    chosen = dists < kth
-    tied = dists == kth
-    tied &= np.cumsum(tied, axis=1) <= k_neighbors - chosen.sum(axis=1, keepdims=True)
-    chosen |= tied
-    adjacency = chosen.astype(np.float64)
+    adjacency = np.zeros((n, n))
+    neighbor_cols = np.argsort(dists, axis=1, kind="stable")[:, :k_neighbors]
+    rows = np.repeat(np.arange(n), k_neighbors)
+    adjacency[rows, neighbor_cols.ravel()] = 1.0
     return np.maximum(adjacency, adjacency.T)

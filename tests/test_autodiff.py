@@ -419,8 +419,9 @@ class TestAffineSigmoid:
         assert [p.grad for p in scalars] == grads[1:]
 
     @pytest.mark.parametrize("temperature, threshold", [
-        (np.ones(3), 0.5), (1.0, np.ones((1, 1))), (1.0, None)],
-        ids=["vector_temperature", "matrix_threshold", "no_threshold"])
+        (np.ones(3), 0.5), (1.0, np.ones((1, 1))), (1.0, None), (None, 0.5)],
+        ids=["vector_temperature", "matrix_threshold", "no_threshold",
+             "no_temperature"])
     def test_edge_scalars_must_be_two_0d_inputs(self, temperature, threshold):
         with pytest.raises(DimensionError, match="0-d"):
             ad.sigmoid(np.zeros((3, 3)), temperature, threshold)
