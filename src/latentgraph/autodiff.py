@@ -31,9 +31,6 @@ from .errors import ContractError, DimensionError, NumericalError
 # distances, so the gradient at coincident points is 0 instead of NaN.
 DISTANCE_EPS = 1e-12
 
-# Guard added to row sums before normalization.
-DEGREE_EPS = 1e-12
-
 # N x N kernels make several passes over each block of about this many
 # bytes of rows while it is still in cache, instead of each pass streaming
 # the whole array through memory.
@@ -232,26 +229,6 @@ def add(a, b) -> Tensor:
             _accumulate(b, gb.copy() if gb is a.grad else gb)
 
     return _record(values, "add", (a, b), adjoint)
-
-
-def subtract(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    values = a.values - b.values
-
-    def adjoint(g: np.ndarray) -> None:
-        g = np.asarray(g)  # the g of a 0-d output may be a numpy scalar
-        ga = None
-        if a.requires_grad:
-            ga = _unbroadcast(g, a.shape)
-            _accumulate(a, ga)
-        if b.requires_grad:
-            gb = _unbroadcast(g, b.shape)
-            # g is this adjoint's own to negate in place, unless a took it
-            # as its buffer
-            in_place = gb is g and ga is not g
-            _accumulate(b, np.negative(gb, out=g if in_place else None))
-
-    return _record(values, "subtract", (a, b), adjoint)
 
 
 def mul(a, b) -> Tensor:
@@ -473,10 +450,8 @@ def pairwise_euclidean(e) -> Tensor:
     return _record(values, "pairwise_euclidean", (e,), adjoint)
 
 
-def _row_normalize_block(a: np.ndarray, out: np.ndarray, sums: np.ndarray,
-                         denom: np.ndarray) -> None:
-    a.sum(axis=1, out=sums)
-    np.add(sums, DEGREE_EPS, out=denom[:, 0])
+def _row_normalize_block(a: np.ndarray, out: np.ndarray, denom: np.ndarray) -> None:
+    a.sum(axis=1, out=denom[:, 0])
     np.divide(a, denom, out=out)
 
 
@@ -487,7 +462,8 @@ def _row_normalize_grad_block(g: np.ndarray, values: np.ndarray,
 
 
 def row_normalize(a) -> Tensor:
-    """Divide each row by its sum (plus a small guard).
+    """Divide each row by its sum; whenever no error is raised, every row
+    of the result sums to 1.
 
     Rows must have strictly positive sums; a non-positive row raises a
     NumericalError naming the offending row.
@@ -496,14 +472,14 @@ def row_normalize(a) -> Tensor:
     if a.values.ndim != 2:
         raise DimensionError(f"row_normalize expects a matrix, got {a.shape}")
     # row sums and division in one pass over row blocks; a non-positive
-    # row is reported once every sum is known
-    n = a.shape[0]
-    values, sums, denom = np.empty(a.shape), np.empty(n), np.empty((n, 1))
-    _by_row_blocks(_row_normalize_block, a.values, values, sums, denom)
-    if np.any(sums <= 0.0):
-        i = int(np.argmin(sums))
+    # row is reported once every sum is known, so its x/0 is silenced here
+    values, denom = np.empty(a.shape), np.empty((a.shape[0], 1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        _by_row_blocks(_row_normalize_block, a.values, values, denom)
+    if np.any(denom <= 0.0):
+        i = int(np.argmin(denom))
         raise NumericalError(
-            f"row_normalize: row {i} has non-positive sum {sums[i]!r}")
+            f"row_normalize: row {i} has non-positive sum {denom[i, 0]!r}")
 
     def adjoint(g: np.ndarray) -> None:
         _by_row_blocks(_row_normalize_grad_block, g, values, denom)

@@ -78,9 +78,10 @@ def gc_layer(adjacency, features, weight) -> Tensor:
     """One spatial graph convolution: degree-normalized neighbor average
     of the feature rows, then a linear map.
 
-    Output row i is (sum_j a_ij * h_j / sum_j a_ij) @ W; rows of the
-    normalized adjacency sum to 1, so constant features are preserved
-    when W is the identity.
+    Output row i is (sum_j a_ij * h_j / sum_j a_ij) @ W. Whenever no
+    error is raised, rows of the normalized adjacency sum to 1, so
+    constant features are preserved when W is the identity; a row whose
+    sum is not positive raises NumericalError.
     """
     a = ad.as_tensor(adjacency)
     h = ad.as_tensor(features)

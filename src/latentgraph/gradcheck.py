@@ -63,8 +63,6 @@ def op_checks(seed: int = 0, instances: int = 10) -> dict[str, float]:
         "matmul": (ad.matmul, [(4, 5), (5, 3)]),
         "add": (ad.add, [(4, 4), (4, 4)]),
         "add_broadcast": (ad.add, [(4, 4), (1, 4)]),
-        "subtract": (ad.subtract, [(4, 4), (4, 4)]),
-        "subtract_scalar": (ad.subtract, [(), (4, 4)]),
         "mul": (ad.mul, [(4, 4), (4, 4)]),
         "mul_scalar_tensor": (ad.mul, [(), (4, 4)]),
         "sum_all": (ad.sum_all, [(4, 4)]),

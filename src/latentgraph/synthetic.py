@@ -124,16 +124,18 @@ def recover_graph(targets: np.ndarray, cfg: RecoveryConfig) -> RecoveryResult:
     rng = np.random.default_rng(cfg.seed)
     embedder = gl.init_embedder([n, *RECOVERY_HIDDEN, cfg.embedding_dim], rng)
     features = ad.as_tensor(np.eye(n))
-    edge = gl.init_edge_params(gl.embed(features, embedder))
+    with ad.no_grad():
+        edge = gl.init_edge_params(gl.embed(features, embedder))
     state = AdamState([*embedder.tensors(), *edge.tensors()])
-    target_tensor = ad.as_tensor(targets)
+    # A - T is -(T - A) bit for bit, and the residual is squared
+    negated_targets = ad.as_tensor(-targets)
     off_diag = ad.as_tensor(1.0 - np.eye(n))
     scale = ad.as_tensor(1.0 / (n * (n - 1)))
     history: list[float] = []
 
     def objective() -> ad.Tensor:
         adjacency = gl.soft_adjacency(gl.embed(features, embedder), edge)
-        residual = ad.mul(ad.subtract(target_tensor, adjacency), off_diag)
+        residual = ad.mul(ad.add(adjacency, negated_targets), off_diag)
         return ad.mul(ad.sum_all(ad.mul(residual, residual)), scale)
 
     for iteration in range(cfg.iterations):
@@ -146,7 +148,8 @@ def recover_graph(targets: np.ndarray, cfg: RecoveryConfig) -> RecoveryResult:
         ad.backward(loss)
         adam_step(state, RECOVERY_LR)
 
-    adjacency = gl.soft_adjacency(gl.embed(features, embedder), edge).values
+    with ad.no_grad():
+        adjacency = gl.soft_adjacency(gl.embed(features, embedder), edge).values
     off = ~np.eye(n, dtype=bool)
     mse = float(np.mean((targets[off] - adjacency[off]) ** 2))
     agreement = edge_agreement(adjacency, targets)

@@ -93,8 +93,7 @@ def forward_oracle(x, params):
     a = 1.0 / (1.0 + np.exp(-t * (params.edge.threshold.values - d)))
     h = x.copy()
     for w in params.gc_weights:
-        h = np.maximum(a @ h / (a.sum(axis=1, keepdims=True) + 1e-12) @ w.values,
-                       0.0)
+        h = np.maximum(a @ h / a.sum(axis=1, keepdims=True) @ w.values, 0.0)
     return h @ params.fc_weight.values + params.fc_bias.values
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from latentgraph import autodiff as ad
 from latentgraph import synthetic as syn
 from latentgraph.errors import ContractError, DimensionError
 
@@ -115,6 +116,25 @@ class TestRecoverGraph:
         b = syn.recover_graph(targets, cfg)
         assert np.array_equal(a.adjacency, b.adjacency)
         assert a.loss_history == b.loss_history
+
+    def test_no_op_is_recorded_outside_the_loop(self, monkeypatch):
+        # only the loop's losses are differentiated: calibrating the edge
+        # scalars and reading the final adjacency build no tape
+        record = ad._record
+        recorded = []
+
+        def spy(values, op, inputs, adjoint):
+            out = record(values, op, inputs, adjoint)
+            if out.op is not None:
+                recorded.append(op)
+            return out
+
+        monkeypatch.setattr(ad, "_record", spy)
+        g = syn.generate_graph(5, 0.4, seed=2)
+        result = syn.recover_graph(syn.neighbor_sum_targets(g, np.eye(5)),
+                                   syn.RecoveryConfig(iterations=0))
+        assert recorded == []
+        assert result.adjacency.shape == (5, 5)
 
     def test_non_square_targets_rejected(self):
         with pytest.raises(DimensionError):
