@@ -237,6 +237,13 @@ class TestBackward:
             assert loss.grad == 1.0
             assert p.grad == 3.0 and q.grad == 1.0
 
+    def test_negation_passes_on_a_numpy_scalar_gradient(self):
+        # mul by a 0-d operand hands the 0-d difference the numpy scalar
+        # np.vdot(g, c), which has no buffer to write in place
+        t = ad.parameter(np.asarray(0.4))
+        ad.backward(ad.mul(ad.add(2.0, ad.mul(-1.0, t)), 3.0))
+        assert t.grad == -3.0
+
     def test_no_grad_records_nothing_and_is_restored_after_an_error(self):
         w = ad.parameter(RNG.normal(size=(2, 3)))
         with pytest.raises(ContractError):
@@ -245,6 +252,11 @@ class TestBackward:
                 assert out.op is None and not out.requires_grad
                 raise ContractError("leaves the block")
         assert ad.sum_all(ad.sigmoid(w)).op == "sum_all"
+
+    def test_a_tensor_added_to_its_negation_gives_zero(self):
+        w = ad.parameter(RNG.normal(size=(2, 3)))
+        ad.backward(ad.sum_all(ad.mul(ad.add(w, ad.mul(-1.0, w)), RNG.normal(size=(2, 3)))))
+        assert np.array_equal(w.grad, np.zeros((2, 3)))
 
 
 def pairwise_gradient(w, e):
@@ -316,13 +328,15 @@ class TestRowBlocks:
             ad.row_normalize(a)
 
     @pytest.mark.parametrize("op, shapes, expected", [
+        (ad.add, [(), (N, N)], lambda w, p, q: [w.sum(), w]),
+        (ad.add, [(N, N), ()], lambda w, p, q: [w, w.sum()]),
         (ad.mul, [(), (N, N)], lambda w, p, q: [(w * q).sum(), w * p]),
         (ad.mul, [(N, N), ()], lambda w, p, q: [w * q, (w * p).sum()]),
         (ad.pairwise_euclidean, [(N, 4)], pairwise_gradient),
         (lambda a, b, c: ad.add(ad.matmul(a, b), ad.matmul(a, c)), [(N, N), (N, 2), (N, 2)],
          lambda w, a, b, c: [w @ (b + c).T, a.T @ w, a.T @ w]),
-    ], ids=["mul_scalar", "mul_scalar_right", "pairwise_euclidean",
-            "matmul_two_contributions"])
+    ], ids=["add_scalar", "add_scalar_right", "mul_scalar", "mul_scalar_right",
+            "pairwise_euclidean", "matmul_two_contributions"])
     def test_adjoints_match_closed_forms_in_multi_row_blocks(self, op, shapes, expected,
                                                               monkeypatch):
         # three rows per block: a partial sum or product per block
@@ -440,11 +454,15 @@ class TestGradientBuffers:
     N = 6
 
     @pytest.mark.parametrize("op, shapes, expected", [
+        (ad.add, [(N, N), (N, N)], lambda w, p, q: [w, w]),
+        (ad.add, [(), (N, N)], lambda w, p, q: [w.sum(), w]),
+        (ad.add, [(N, N), ()], lambda w, p, q: [w, w.sum()]),
         (ad.mul, [(N, N), (N, N)], lambda w, p, q: [w * q, w * p]),
         (ad.mul, [(), (N, N)], lambda w, p, q: [(w * q).sum(), w * p]),
         (ad.mul, [(N, N), ()], lambda w, p, q: [w * q, (w * p).sum()]),
         (lambda w: ad.mul(w, w), [(N, N)], lambda w, p: [2.0 * w * p]),
-    ], ids=["mul", "mul_scalar", "mul_scalar_right", "mul_self"])
+    ], ids=["add", "add_scalar", "add_scalar_right", "mul", "mul_scalar",
+            "mul_scalar_right", "mul_self"])
     def test_gradients_are_owned_and_match_zero_fill(self, op, shapes, expected,
                                                       monkeypatch):
         # the op feeds the blocked sigmoid and row_normalize kernels, one
@@ -477,9 +495,10 @@ class TestConstantOperands:
     @pytest.mark.parametrize("op, shape_a, shape_b", [
         (ad.add, (4, 3), (4, 3)),
         (ad.add, (4, 3), (1, 3)),  # broadcast bias
+        (ad.add, (), (4, 3)),  # scalar
         (ad.mul, (4, 3), (4, 3)),
         (ad.matmul, (4, 5), (5, 3)),
-    ], ids=["add", "add_bias", "mul", "matmul"])
+    ], ids=["add", "add_bias", "add_scalar", "mul", "matmul"])
     @pytest.mark.parametrize("constant", [0, 1], ids=["constant_a", "constant_b"])
     def test_constant_gets_no_grad_and_other_grad_is_unchanged(
             self, op, shape_a, shape_b, constant):
