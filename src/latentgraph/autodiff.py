@@ -11,8 +11,10 @@ A tensor's first gradient contribution becomes its buffer and later ones
 are added into it; a recorded tensor's gradient is released when its
 adjoint runs, and the adjoint may overwrite it, so after ``backward`` only
 the leaves and the root hold one. The N x N kernels make their passes over
-row blocks that stay in cache, and an N x N gradient is written block by
-block into its one buffer. The engine is deliberately small; it supports
+row blocks that stay in cache. The matmuls that read a row-normalized
+operator hand it their gradient shares as thin factors, and
+``row_normalize``'s adjoint forms the one N x N gradient from them, block
+by block into its one buffer. The engine is deliberately small; it supports
 exactly the operations the graph-learning models need, all in double
 precision so that gradients can be validated against central finite
 differences to tight tolerances.
@@ -176,6 +178,44 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
         t.grad += g
 
 
+class _OperatorGrad:
+    """The gradient of a ``row_normalize`` output P: a dense part (None
+    until one arrives) plus ``left @ right``. Each ``matmul`` P @ y puts in
+    its share g @ y.T as factors; the last column of ``left``, against a row
+    of ones, subtracts the shares' row dots with P, read off P @ y. So no
+    N x N product and no pass over P precede ``row_normalize``'s adjoint."""
+
+    __slots__ = ("dense", "left", "right")
+
+    def __init__(self, dense: np.ndarray | None, n: int):
+        self.dense = dense
+        self.left = np.zeros((n, 1))
+        self.right = np.ones((1, n))
+
+    def __iadd__(self, g: np.ndarray) -> "_OperatorGrad":
+        # a dense contribution, added by _accumulate. The first is copied:
+        # ``add`` checks only ``grad`` itself before handing the same buffer
+        # to its other operand, and this one is written in place.
+        if self.dense is None:
+            self.dense = g.copy()
+        else:
+            self.dense += g
+        return self
+
+
+def _accumulate_factors(t: Tensor, g: np.ndarray, y: np.ndarray,
+                        product: np.ndarray) -> None:
+    """Add the contribution ``g @ y.T`` to the gradient of the
+    ``row_normalize`` output ``t`` as factors; ``product`` is t @ y."""
+    if not isinstance(t.grad, _OperatorGrad):
+        t.grad = _OperatorGrad(t.grad, t.shape[0])
+    grad = t.grad
+    grad.left = np.hstack([g, grad.left])
+    grad.left[:, -1] -= np.einsum("ij,ij->i", g, product)
+    # C order: the adjoint's product of width w + 1 runs about twice as fast
+    grad.right = np.ascontiguousarray(np.vstack([y.T, grad.right]))
+
+
 def _by_row_blocks(kernel: Callable[..., object], *arrays: np.ndarray) -> None:
     """Run ``kernel`` on matching row blocks of ``arrays``, in row order,
     each block of the first array about ``BLOCK_BYTES``; an array that fits
@@ -187,18 +227,6 @@ def _by_row_blocks(kernel: Callable[..., object], *arrays: np.ndarray) -> None:
     step = max(1, BLOCK_BYTES // first[0].nbytes)
     for i in range(0, first.shape[0], step):
         kernel(*[x[i:i + step] for x in arrays])
-
-
-def _accumulate_product(t: Tensor, x: np.ndarray, y: np.ndarray) -> None:
-    """Add the contribution ``x @ y`` to ``t.grad``. The product is formed
-    a row block at a time straight into the gradient (a fresh buffer for the
-    first contribution), so no temporary of its size exists; every
-    contribution goes through the same blocked product."""
-    if t.grad is None:
-        t.grad = np.empty((x.shape[0], y.shape[1]))
-        _by_row_blocks(lambda out, rows: np.matmul(rows, y, out=out), t.grad, x)
-    else:
-        _by_row_blocks(lambda out, rows: np.add(out, rows @ y, out=out), t.grad, x)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -383,7 +411,10 @@ def matmul(a, b) -> Tensor:
 
     def adjoint(g: np.ndarray) -> None:
         if a.requires_grad:
-            _accumulate_product(a, g, b.values.T)
+            if a.op == "row_normalize":
+                _accumulate_factors(a, g, b.values, values)
+            else:
+                _accumulate(a, g @ b.values.T)
         if b.requires_grad:
             _accumulate(b, _transposed_matmul(a.values, g))
 
@@ -455,10 +486,17 @@ def _row_normalize_block(a: np.ndarray, out: np.ndarray, denom: np.ndarray) -> N
     np.divide(a, denom, out=out)
 
 
-def _row_normalize_grad_block(g: np.ndarray, values: np.ndarray,
-                              denom: np.ndarray) -> None:
-    g -= np.einsum("ij,ij->i", g, values)[:, None]
-    g /= denom
+def _row_normalize_grad_block(out: np.ndarray, values: np.ndarray, denom: np.ndarray,
+                              left: np.ndarray, right: np.ndarray, dense: bool) -> None:
+    # left @ right is the factors' share of the gradient, already projected
+    # and scaled; P is read only for the row dots of a dense part, which
+    # ``out`` then holds. Without one, ``out`` is blank and written once.
+    if dense:
+        out -= np.einsum("ij,ij->i", out, values)[:, None]
+        out /= denom
+        out += left @ right
+    else:
+        np.matmul(left, right, out=out)
 
 
 def row_normalize(a) -> Tensor:
@@ -481,9 +519,18 @@ def row_normalize(a) -> Tensor:
         raise NumericalError(
             f"row_normalize: row {i} has non-positive sum {denom[i, 0]!r}")
 
-    def adjoint(g: np.ndarray) -> None:
-        _by_row_blocks(_row_normalize_grad_block, g, values, denom)
-        _accumulate(a, g)
+    def adjoint(g: np.ndarray | _OperatorGrad) -> None:
+        # dS = (dP - rowdot(dP, P)) / denom: the factors' share is one
+        # product of width w + 1 per row block, formed in the dense part's
+        # buffer or a fresh one, the one N x N gradient of the step
+        if not isinstance(g, _OperatorGrad):
+            g = _OperatorGrad(g, a.shape[0])
+        g.left /= denom
+        dense = g.dense is not None
+        out = g.dense if dense else np.empty(values.shape)
+        _by_row_blocks(lambda out, values, denom, left: _row_normalize_grad_block(
+            out, values, denom, left, g.right, dense), out, values, denom, g.left)
+        _accumulate(a, out)
 
     return _record(values, "row_normalize", (a,), adjoint)
 

@@ -54,7 +54,8 @@ def init_model(features: np.ndarray, n_classes: int, *,
     edge = None
     if learn_graph:
         embedder = gl.init_embedder([n_features, *embed_hidden, embed_dim], rng)
-        edge = gl.init_edge_params(gl.embed(features, embedder))
+        with ad.no_grad():
+            edge = gl.init_edge_params(gl.embed(features, embedder))
     gc_weights = []
     width_in = n_features
     for width_out in gc_widths:

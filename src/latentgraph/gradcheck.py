@@ -51,6 +51,14 @@ def relative_error(loss_of: Callable[[], Tensor],
     return worst
 
 
+def _shared_operator(a: Tensor, h: Tensor, w: Tensor) -> Tensor:
+    """Two graph convolutions sharing one row-normalized operator, as in
+    the GCN, so the operator's gradient arrives as the factors of two
+    ``matmul``s."""
+    operator = ad.row_normalize(ad.sigmoid(a))
+    return ad.matmul(operator, ad.matmul(ad.matmul(operator, h), w))
+
+
 def op_checks(seed: int = 0, instances: int = 10) -> dict[str, float]:
     """Worst finite-difference error over ``instances`` random inputs,
     keyed by op name."""
@@ -73,6 +81,7 @@ def op_checks(seed: int = 0, instances: int = 10) -> dict[str, float]:
         "softplus": (ad.softplus, [(4, 4)]),
         "pairwise_euclidean": (ad.pairwise_euclidean, [(6, 3)]),
         "row_normalize": (lambda a: ad.row_normalize(ad.sigmoid(a)), [(5, 5)]),
+        "row_normalize_operator": (_shared_operator, [(5, 5), (5, 3), (3, 2)]),
         "row_softmax_cross_entropy": (
             lambda z: ad.row_softmax_cross_entropy(z, labels, mask), [(6, 3)]),
     }

@@ -409,8 +409,11 @@ def knn_adjacency(features: np.ndarray, k_neighbors: int) -> np.ndarray:
         raise ContractError(f"need 0 < k_neighbors < {n}, got {k_neighbors}")
     dists = ad.pairwise_euclidean(features).values
     np.fill_diagonal(dists, np.inf)
-    adjacency = np.zeros((n, n))
-    neighbor_cols = np.argsort(dists, axis=1, kind="stable")[:, :k_neighbors]
-    rows = np.repeat(np.arange(n), k_neighbors)
-    adjacency[rows, neighbor_cols.ravel()] = 1.0
+    # every distance below the k-th smallest, then the lowest columns among
+    # those equal to it: a stable sort's first k, without sorting the rows
+    kth = np.partition(dists, k_neighbors - 1, axis=1)[:, k_neighbors - 1:k_neighbors]
+    below = dists < kth
+    ties = dists == kth
+    open_slots = k_neighbors - below.sum(axis=1, keepdims=True)
+    adjacency = (below | (ties & (np.cumsum(ties, axis=1) <= open_slots))).astype(np.float64)
     return np.maximum(adjacency, adjacency.T)

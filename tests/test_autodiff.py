@@ -446,6 +446,87 @@ class TestPrunedGraphOperator:
             assert np.all(np.isfinite(param.grad))
 
 
+class TestFactoredOperatorGradient:
+    """The ``matmul``s that read a row-normalized operator P hand it their
+    gradient shares G @ Y.T as factors; ``row_normalize``'s adjoint must
+    give what the dense dP and the row-normalize adjoint give."""
+
+    N = 9
+
+    def loss(self, a, consumers, dense):
+        """sum_l sum((P @ y_l) * w_l), plus sum(P) before ("first") or after
+        ("last") the products when ``dense`` says so; returns it and P."""
+        p = ad.row_normalize(a)
+        terms = [ad.sum_all(ad.mul(ad.matmul(p, y), w)) for y, w in consumers]
+        if dense == "first":
+            terms.insert(0, ad.sum_all(p))
+        elif dense == "last":
+            terms.append(ad.sum_all(p))
+        loss = terms[0]
+        for term in terms[1:]:
+            loss = ad.add(loss, term)
+        return loss, p
+
+    @staticmethod
+    def dense_reference(a, consumers, dense_grad=0.0):
+        # dP = sum_l G_l @ Y_l.T with G_l = w_l, plus the dense part;
+        # then dS = (dP - rowdot(dP, P)) / rowsum(A)
+        sums = a.sum(axis=1, keepdims=True)
+        dp = sum(w @ y.T for y, w in consumers) + dense_grad
+        return (dp - (dp * (a / sums)).sum(axis=1, keepdims=True)) / sums
+
+    @pytest.mark.parametrize("rows_per_block", [None, 1, 4],
+                             ids=["one_block", "one_row_blocks", "four_row_blocks"])
+    @pytest.mark.parametrize("n_consumers, dense", [
+        (1, None), (2, None), (2, "first"), (2, "last")],
+        ids=["one_consumer", "two_consumers", "mixed_dense_first", "mixed_dense_last"])
+    def test_matches_the_dense_reference(self, n_consumers, dense, rows_per_block,
+                                         monkeypatch):
+        if rows_per_block is not None:
+            monkeypatch.setattr(ad, "BLOCK_BYTES", 8 * self.N * rows_per_block)
+        values = RNG.uniform(0.5, 1.5, size=(self.N, self.N))
+        consumers = [(RNG.normal(size=(self.N, 2)), RNG.normal(size=(self.N, 2)))
+                     for _ in range(n_consumers)]
+        a = ad.parameter(values.copy())
+        loss, p = self.loss(a, consumers, dense)
+        if dense is None:
+            # the factored adjoint never reads P
+            p.values[...] = np.nan
+        ad.backward(loss)
+        want = self.dense_reference(values, consumers, 0.0 if dense is None else 1.0)
+        assert np.max(np.abs(a.grad - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("b_first", [True, False])
+    def test_add_hands_the_operator_and_its_other_operand_separate_buffers(self, b_first):
+        # add hands the same g to both operands. When P already holds
+        # factors and b has no gradient yet, the dense part P keeps must not
+        # be the buffer b takes, which b's later contribution is added into
+        # and P's adjoint writes in place
+        a = ad.parameter(RNG.uniform(0.5, 1.5, size=(self.N, self.N)))
+        b = ad.parameter(RNG.normal(size=(self.N, self.N)))
+        y, w, w_sum, w_b = (RNG.normal(size=s) for s in
+                            [(self.N, 2), (self.N, 2), (self.N, self.N), (self.N, self.N)])
+        p = ad.row_normalize(a)
+        product = ad.sum_all(ad.mul(ad.matmul(p, y), w))
+        shared = ad.sum_all(ad.mul(ad.add(p, b), w_sum))
+        b_alone = ad.sum_all(ad.mul(b, w_b))
+        terms = [b_alone, product, shared] if b_first else [product, shared, b_alone]
+        ad.backward(ad.add(ad.add(terms[0], terms[1]), terms[2]))
+        want = self.dense_reference(a.values, [(y, w)], w_sum)
+        np.testing.assert_allclose(a.grad, want, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(b.grad, w_sum + w_b, rtol=1e-12, atol=1e-14)
+
+    def test_consumers_get_their_dense_gradients(self):
+        a = ad.parameter(RNG.uniform(0.5, 1.5, size=(self.N, self.N)))
+        ys = [ad.parameter(RNG.normal(size=(self.N, 2))) for _ in range(2)]
+        ws = [RNG.normal(size=(self.N, 2)) for _ in range(2)]
+        loss, p = self.loss(a, list(zip(ys, ws)), None)
+        ad.backward(loss)
+        for y, w in zip(ys, ws):
+            assert isinstance(y.grad, np.ndarray)
+            np.testing.assert_allclose(y.grad, p.values.T @ w, rtol=1e-12, atol=1e-14)
+
+
 class TestGradientBuffers:
     """An adjoint may write into the gradient it receives, so no two
     tensors may end up holding one buffer, and no buffer may be written
@@ -601,29 +682,44 @@ class TestPlumbingOps:
         assert np.array_equal(ad.tanh(np.asarray([0.5])).values, np.tanh([0.5]))
 
 
+def skew_factors(g):
+    """The factors of an operator gradient made 1% too large; a dense
+    gradient is passed on as it is."""
+    if isinstance(g, ad._OperatorGrad):
+        g.left *= 1.01
+    return g
+
+
 class TestGradientCorrectness:
     def test_every_op_matches_finite_differences(self):
         results = op_checks(seed=7, instances=10)
         for name, err in results.items():
             assert err < 1e-4, f"{name}: {err}"
 
-    @pytest.fixture
-    def skewed_sigmoid_adjoint(self, monkeypatch):
-        # every sigmoid records an adjoint that is 1% too large
+    @pytest.mark.parametrize("op, skew, reported, unaffected", [
+        # built on a sigmoid, both row_normalize checks see its skew
+        ("sigmoid", lambda g: 1.01 * g,
+         ["sigmoid", "row_normalize", "row_normalize_operator"], ["matmul"]),
+        # only the operator path hands row_normalize factors
+        ("row_normalize", skew_factors,
+         ["row_normalize_operator"], ["row_normalize", "sigmoid", "matmul"]),
+    ], ids=["sigmoid", "row_normalize_factors"])
+    def test_wrong_adjoint_is_reported(self, op, skew, reported, unaffected,
+                                       monkeypatch):
+        # every ``op`` records an adjoint whose gradient is skewed by 1%
         record = ad._record
 
-        def skewed(values, op, inputs, adjoint):
-            if op == "sigmoid":
-                return record(values, op, inputs, lambda g: adjoint(1.01 * g))
-            return record(values, op, inputs, adjoint)
+        def skewed(values, name, inputs, adjoint):
+            if name == op:
+                return record(values, name, inputs, lambda g: adjoint(skew(g)))
+            return record(values, name, inputs, adjoint)
 
         monkeypatch.setattr(ad, "_record", skewed)
-
-    def test_wrong_adjoint_is_reported(self, skewed_sigmoid_adjoint):
         results = op_checks(seed=0, instances=2)
-        assert results["sigmoid"] > OP_TOLERANCE
-        assert results["row_normalize"] > OP_TOLERANCE  # built on a sigmoid
-        assert results["matmul"] < OP_TOLERANCE
+        for name in reported:
+            assert results[name] > OP_TOLERANCE, name
+        for name in unaffected:
+            assert results[name] < OP_TOLERANCE, name
         assert end_to_end_check(seed=0, instances=2) > END_TO_END_TOLERANCE
 
     def test_relative_error_leaves_parameters_untouched(self):

@@ -97,6 +97,25 @@ def forward_oracle(x, params):
     return h @ params.fc_weight.values + params.fc_bias.values
 
 
+class TestInitModel:
+    def test_records_no_op(self, monkeypatch):
+        # the edge scalars are calibrated on the initial embedding's values,
+        # which are never differentiated, so no tape is built
+        record = ad._record
+        recorded = []
+
+        def spy(values, op, inputs, adjoint):
+            out = record(values, op, inputs, adjoint)
+            if out.op is not None:
+                recorded.append(op)
+            return out
+
+        monkeypatch.setattr(ad, "_record", spy)
+        _, params = init_small_model()
+        assert recorded == []
+        assert all(t.requires_grad for t in params.tensors())
+
+
 class TestForward:
     def test_single_node_is_finite_and_matches_fc_of_relu(self):
         x, params = init_small_model(n_nodes=1)

@@ -295,8 +295,9 @@ class TestTrain:
         assert buffers <= 9.0, f"{buffers:.2f} N x N buffers"
 
     def test_backward_forms_no_nxn_temporary(self, monkeypatch):
-        # the N x N gradients are formed in row blocks straight into one
-        # buffer, so the peak is the three recorded N x N links of the
+        # the GC layers hand the operator's gradient over as factors and
+        # row_normalize forms the one N x N gradient from them in row
+        # blocks, so the peak is the three recorded N x N links of the
         # learned-graph chain (distances, sigmoid, operator), one gradient
         # and blocks
         buffers = traced_step_buffers(monkeypatch)
@@ -515,6 +516,18 @@ class TestLinearBaseline:
         np.testing.assert_allclose(weights, expected, atol=1e-8)
 
 
+def stable_sort_knn(x, k):
+    """The kNN graph from a stable sort of each row's distances: among
+    equal distances the lowest columns come first."""
+    n = x.shape[0]
+    dists = ad.pairwise_euclidean(x).values
+    np.fill_diagonal(dists, np.inf)
+    cols = np.argsort(dists, axis=1, kind="stable")[:, :k]
+    expected = np.zeros((n, n))
+    expected[np.repeat(np.arange(n), k), cols.ravel()] = 1.0
+    return np.maximum(expected, expected.T)
+
+
 class TestKnnBaseline:
     def test_full_k_equals_complete_graph(self):
         x = RNG.normal(size=(7, 3))
@@ -536,13 +549,16 @@ class TestKnnBaseline:
         x = RNG.integers(0, 3, size=(n, 3)).astype(float)
         dists = ad.pairwise_euclidean(x).values
         np.fill_diagonal(dists, np.inf)
-        cols = np.argsort(dists, axis=1, kind="stable")[:, :k]
-        expected = np.zeros((n, n))
-        expected[np.repeat(np.arange(n), k), cols.ravel()] = 1.0
-        expected = np.maximum(expected, expected.T)
         kth = np.sort(dists, axis=1)[:, k - 1:k]
         assert np.any((dists <= kth).sum(axis=1) > k)
-        assert np.array_equal(tr.knn_adjacency(x, k), expected)
+        assert np.array_equal(tr.knn_adjacency(x, k), stable_sort_knn(x, k))
+
+    @pytest.mark.parametrize("k", [1, 3, 4, 9, 29])
+    def test_duplicated_rows_pick_neighbours_as_a_stable_sort(self, k):
+        # each of 10 feature rows three times: every row has two partners at
+        # distance 0, and whole groups of three tie at each distance after
+        x = np.repeat(RNG.normal(size=(10, 4)), 3, axis=0)[RNG.permutation(30)]
+        assert np.array_equal(tr.knn_adjacency(x, k), stable_sort_knn(x, k))
 
     def test_invalid_k_rejected(self):
         with pytest.raises(ContractError):
