@@ -11,10 +11,12 @@ A tensor's first gradient contribution becomes its buffer and later ones
 are added into it; a recorded tensor's gradient is released when its
 adjoint runs, and the adjoint may overwrite it, so after ``backward`` only
 the leaves and the root hold one. The N x N kernels make their passes over
-row blocks that stay in cache. The matmuls that read a row-normalized
-operator hand it their gradient shares as thin factors, and
-``row_normalize``'s adjoint forms the one N x N gradient from them, block
-by block into its one buffer. The engine is deliberately small; it supports
+row blocks that stay in cache. ``row_normalize`` keeps only the row sums
+of its input, and the matmuls that read the normalized operator multiply
+through the input and those sums, so the operator is never formed. They
+hand it their gradient shares as thin factors, and ``row_normalize``'s
+adjoint forms the one N x N gradient from them, block by block into its
+one buffer. The engine is deliberately small; it supports
 exactly the operations the graph-learning models need, all in double
 precision so that gradients can be validated against central finite
 differences to tight tolerances.
@@ -99,17 +101,41 @@ def no_grad() -> Iterator[None]:
         _recording = previous
 
 
-def _record(values: np.ndarray, op: str, inputs: tuple[Tensor, ...],
+class _RowNormalized(Tensor):
+    """P = A / rowsum(A), kept as A and its row sums: ``matmul`` multiplies
+    through them, and reading ``values`` forms P anew each time."""
+
+    __slots__ = ("adjacency", "denom")
+
+    def __init__(self, adjacency: np.ndarray, denom: np.ndarray):
+        self.adjacency, self.denom = adjacency, denom
+        self.grad = None
+        self.requires_grad = False
+        self.op = None
+        self.parents = ()
+        self._adjoint = None
+
+    @property
+    def values(self) -> np.ndarray:
+        return self.adjacency / self.denom
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.adjacency.shape
+
+
+def _record(values: np.ndarray | Tensor, op: str, inputs: tuple[Tensor, ...],
             adjoint: Callable[[np.ndarray], None]) -> Tensor:
     """The output of ``op``: recorded, with the inputs that need a gradient
     as ``parents`` (the only ones ``adjoint`` may write to), or, when no
     input needs one or inside ``no_grad``, a constant that never reaches a
-    tape."""
+    tape. An output not stored as one array arrives built, as a constant."""
     # a list comprehension costs less than a generator on this per-op path
     parents = tuple([t for t in inputs if t.requires_grad]) if _recording else ()
+    out = values if isinstance(values, Tensor) else Tensor(values)
     if not parents:
-        return Tensor(values)
-    out = Tensor(values, requires_grad=True)
+        return out
+    out.requires_grad = True
     out.op = op
     out.parents = parents
     out._adjoint = adjoint
@@ -403,20 +429,26 @@ def _transposed_matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def matmul(a, b) -> Tensor:
+    """a @ b. A row-normalized ``a`` is multiplied through its factors,
+    (A @ b) / rowsum(A), and takes its gradient as factors too."""
     a, b = as_tensor(a), as_tensor(b)
-    if a.values.ndim != 2 or b.values.ndim != 2 or a.shape[1] != b.shape[0]:
+    if len(a.shape) != 2 or b.values.ndim != 2 or a.shape[1] != b.shape[0]:
         raise DimensionError(
             f"matmul requires (m,k) x (k,n) operands, got {a.shape} x {b.shape}")
-    values = a.values @ b.values
+    operator = isinstance(a, _RowNormalized)
+    left = a.adjacency if operator else a.values
+    values = left @ b.values
+    if operator:
+        values /= a.denom
 
     def adjoint(g: np.ndarray) -> None:
         if a.requires_grad:
-            if a.op == "row_normalize":
+            if operator:
                 _accumulate_factors(a, g, b.values, values)
             else:
                 _accumulate(a, g @ b.values.T)
         if b.requires_grad:
-            _accumulate(b, _transposed_matmul(a.values, g))
+            _accumulate(b, _transposed_matmul(left, g / a.denom if operator else g))
 
     return _record(values, "matmul", (a, b), adjoint)
 
@@ -481,18 +513,17 @@ def pairwise_euclidean(e) -> Tensor:
     return _record(values, "pairwise_euclidean", (e,), adjoint)
 
 
-def _row_normalize_block(a: np.ndarray, out: np.ndarray, denom: np.ndarray) -> None:
-    a.sum(axis=1, out=denom[:, 0])
-    np.divide(a, denom, out=out)
-
-
-def _row_normalize_grad_block(out: np.ndarray, values: np.ndarray, denom: np.ndarray,
-                              left: np.ndarray, right: np.ndarray, dense: bool) -> None:
+def _row_normalize_grad_block(out: np.ndarray, adjacency: np.ndarray,
+                              denom: np.ndarray, left: np.ndarray, right: np.ndarray,
+                              dense: bool) -> None:
     # left @ right is the factors' share of the gradient, already projected
-    # and scaled; P is read only for the row dots of a dense part, which
-    # ``out`` then holds. Without one, ``out`` is blank and written once.
+    # and scaled; A is read only for the row dots of a dense part with P,
+    # rowdot(dP, A) / denom, and ``out`` then holds that part. Without one,
+    # ``out`` is blank and written once.
     if dense:
-        out -= np.einsum("ij,ij->i", out, values)[:, None]
+        row_dot = np.einsum("ij,ij->i", out, adjacency)[:, None]
+        row_dot /= denom
+        out -= row_dot
         out /= denom
         out += left @ right
     else:
@@ -503,17 +534,16 @@ def row_normalize(a) -> Tensor:
     """Divide each row by its sum; whenever no error is raised, every row
     of the result sums to 1.
 
-    Rows must have strictly positive sums; a non-positive row raises a
-    NumericalError naming the offending row.
+    Only the row sums are computed: the result keeps ``a`` and them, and
+    ``matmul`` multiplies through both, so P itself is never stored.
+    Reading the result's ``values`` costs one N x N pass and a fresh N x N
+    array each time. Rows must have strictly positive sums; a non-positive
+    row raises a NumericalError naming the offending row.
     """
     a = as_tensor(a)
     if a.values.ndim != 2:
         raise DimensionError(f"row_normalize expects a matrix, got {a.shape}")
-    # row sums and division in one pass over row blocks; a non-positive
-    # row is reported once every sum is known, so its x/0 is silenced here
-    values, denom = np.empty(a.shape), np.empty((a.shape[0], 1))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        _by_row_blocks(_row_normalize_block, a.values, values, denom)
+    denom = a.values.sum(axis=1, keepdims=True)
     if np.any(denom <= 0.0):
         i = int(np.argmin(denom))
         raise NumericalError(
@@ -527,12 +557,12 @@ def row_normalize(a) -> Tensor:
             g = _OperatorGrad(g, a.shape[0])
         g.left /= denom
         dense = g.dense is not None
-        out = g.dense if dense else np.empty(values.shape)
-        _by_row_blocks(lambda out, values, denom, left: _row_normalize_grad_block(
-            out, values, denom, left, g.right, dense), out, values, denom, g.left)
+        out = g.dense if dense else np.empty(a.shape)
+        _by_row_blocks(lambda out, adjacency, denom, left: _row_normalize_grad_block(
+            out, adjacency, denom, left, g.right, dense), out, a.values, denom, g.left)
         _accumulate(a, out)
 
-    return _record(values, "row_normalize", (a,), adjoint)
+    return _record(_RowNormalized(a.values, denom), "row_normalize", (a,), adjoint)
 
 
 def row_softmax_cross_entropy(logits, labels, mask) -> Tensor:

@@ -79,10 +79,11 @@ def gc_layer(adjacency, features, weight) -> Tensor:
     """One spatial graph convolution: degree-normalized neighbor average
     of the feature rows, then a linear map.
 
-    Output row i is (sum_j a_ij * h_j / sum_j a_ij) @ W. Whenever no
-    error is raised, rows of the normalized adjacency sum to 1, so
-    constant features are preserved when W is the identity; a row whose
-    sum is not positive raises NumericalError.
+    Output row i is (sum_j a_ij * h_j / sum_j a_ij) @ W, computed as
+    (A @ (h @ W)) / rowsum(A), so the normalized adjacency is never
+    formed. Whenever no error is raised, rows of the normalized adjacency
+    sum to 1, so constant features are preserved when W is the identity;
+    a row whose sum is not positive raises NumericalError.
     """
     a = ad.as_tensor(adjacency)
     h = ad.as_tensor(features)
@@ -94,9 +95,9 @@ def forward(features, params: ModelParams, adjacency=None) -> Tensor:
     """Logits for every node.
 
     Pipeline: embed -> soft adjacency -> stacked graph convolutions with
-    ReLU after each -> linear FC head. The adjacency is computed and
-    degree-normalized once per forward pass, and that one operator is
-    shared by all layers, so each layer equals ``gc_layer`` on the raw
+    ReLU after each -> linear FC head. The adjacency and its row sums are
+    computed once per forward pass, and that one operator is shared by
+    all layers, so each layer equals ``gc_layer`` on the raw
     adjacency. Passing ``adjacency`` short-circuits the graph-learning
     stage (static-graph baseline).
     """

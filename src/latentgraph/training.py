@@ -299,13 +299,32 @@ def evaluate(params: gcn.ModelParams, dataset, mask,
 # cross-validation and inference
 
 
-def parallel_map(fn, jobs: Sequence, n_workers: Optional[int] = None) -> list:
-    """``[fn(job) for job in jobs]``, fanned out over worker processes.
+# The function and shared arguments of the running ``parallel_map``, set
+# once in each of its worker processes by the pool initializer.
+_worker_call = None
+
+
+def _set_worker_call(fn, shared: tuple) -> None:
+    global _worker_call
+    _worker_call = (fn, shared)
+
+
+def _run_worker_job(job):
+    fn, shared = _worker_call
+    return fn(*shared, job)
+
+
+def parallel_map(fn, jobs: Sequence, n_workers: Optional[int] = None,
+                 shared: tuple = ()) -> list:
+    """``[fn(*shared, job) for job in jobs]``, fanned out over worker
+    processes.
 
     ``n_workers`` defaults to the LATENTGRAPH_WORKERS environment variable
     (1 when unset or not an integer). No more processes start than there
-    are jobs, and with one worker the jobs run in this process. ``fn``
-    and the jobs must be picklable.
+    are jobs, and with one worker the jobs run in this process. ``fn`` and
+    ``shared`` reach each worker once, when it starts, so a job carries
+    only what differs between jobs. ``fn``, ``shared`` and the jobs must
+    be picklable.
     """
     if n_workers is None:
         try:
@@ -314,15 +333,17 @@ def parallel_map(fn, jobs: Sequence, n_workers: Optional[int] = None) -> list:
             n_workers = 1
     workers = min(max(1, n_workers), len(jobs))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, jobs))
-    return [fn(job) for job in jobs]
+        with ProcessPoolExecutor(max_workers=workers, initializer=_set_worker_call,
+                                 initargs=(fn, shared)) as pool:
+            return list(pool.map(_run_worker_job, jobs))
+    return [fn(*shared, job) for job in jobs]
 
 
-def _run_cv_fold(args):
-    dataset, cfg, train_idx, test_idx, adjacency = args
-    params, _ = train(dataset, cfg, train_mask=train_idx, adjacency=adjacency)
-    return evaluate(params, dataset, test_idx, adjacency=adjacency)
+def _run_cv_fold(dataset, cfg: TrainConfig, split: FoldSplit,
+                 adjacency: Optional[np.ndarray], fold: int) -> Metrics:
+    params, _ = train(dataset, cfg, train_mask=split.train_indices[fold],
+                      adjacency=adjacency)
+    return evaluate(params, dataset, split.test_indices[fold], adjacency=adjacency)
 
 
 def cross_validate(dataset, cfg: TrainConfig,
@@ -334,12 +355,12 @@ def cross_validate(dataset, cfg: TrainConfig,
     labeled, then scores the held-out rows. Without ``adjacency`` the
     graph is learned; with one (e.g. :func:`knn_adjacency`) every fold
     trains on that fixed graph. Fold jobs run through :func:`parallel_map`
-    with ``n_workers``.
+    with ``n_workers``; the dataset, the split and the adjacency are
+    shared, so a job is its fold number.
     """
     split = stratified_kfold(dataset.y, cfg.folds, cfg.seed)
-    jobs = [(dataset, cfg, tr, te, adjacency)
-            for tr, te in zip(split.train_indices, split.test_indices)]
-    return CVMetrics(folds=parallel_map(_run_cv_fold, jobs, n_workers))
+    return CVMetrics(folds=parallel_map(_run_cv_fold, range(cfg.folds), n_workers,
+                                        shared=(dataset, cfg, split, adjacency)))
 
 
 def inductive_infer(params: gcn.ModelParams, train_X, test_X) -> np.ndarray:

@@ -53,3 +53,15 @@ def write_dataset_csv(path, dataset, label_col="dx", fmt=".17g"):
 @pytest.fixture
 def blobs():
     return make_blobs()
+
+
+@pytest.fixture
+def forbid_forming_the_operator(monkeypatch):
+    """Call it to make every later read of a ``row_normalize`` output's
+    ``values``, which forms P = A / rowsum(A), fail the test."""
+    def formed(self):
+        raise AssertionError("the row-normalized operator P was formed")
+
+    def forbid():
+        monkeypatch.setattr(ad._RowNormalized, "values", property(formed))
+    return forbid

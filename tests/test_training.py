@@ -1,4 +1,5 @@
 import dataclasses
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -295,13 +296,25 @@ class TestTrain:
         assert buffers <= 9.0, f"{buffers:.2f} N x N buffers"
 
     def test_backward_forms_no_nxn_temporary(self, monkeypatch):
-        # the GC layers hand the operator's gradient over as factors and
-        # row_normalize forms the one N x N gradient from them in row
-        # blocks, so the peak is the three recorded N x N links of the
-        # learned-graph chain (distances, sigmoid, operator), one gradient
-        # and blocks
+        # the GC layers multiply through the adjacency and its row sums and
+        # hand the operator's gradient over as factors, and row_normalize
+        # forms the one N x N gradient from them in row blocks, so the peak
+        # is the two stored N x N links of the learned-graph chain
+        # (distances, sigmoid), one gradient and blocks
         buffers = traced_step_buffers(monkeypatch)
-        assert buffers <= 5.0, f"{buffers:.2f} N x N buffers"
+        assert buffers <= 4.0, f"{buffers:.2f} N x N buffers"
+
+    def test_graph_operator_is_never_formed(self, blobs, forbid_forming_the_operator):
+        # P = A / rowsum(A) is read only through A and its row sums, in
+        # training and evaluation, on a learned and on a static graph
+        forbid_forming_the_operator()
+        with pytest.raises(AssertionError, match="operator P was formed"):
+            ad.row_normalize(np.ones((3, 3))).values
+        cfg = tr.TrainConfig(seed=0, **{**FAST, "epochs": 2})
+        everyone = np.arange(blobs.n_nodes)
+        for adjacency in (None, tr.knn_adjacency(blobs.X, 5)):
+            params, _ = tr.train(blobs, cfg, adjacency=adjacency)
+            tr.evaluate(params, blobs, everyone, adjacency=adjacency)
 
 
 def traced_step_buffers(monkeypatch):
@@ -407,16 +420,29 @@ class TestCrossValidate:
         parallel = tr.cross_validate(blobs, cfg, n_workers=2)
         assert serial.accuracy_mean == parallel.accuracy_mean
 
+    def test_parallel_workers_match_serial_on_a_static_graph(self, blobs):
+        # the adjacency reaches the workers through the pool initializer
+        cfg = tr.TrainConfig(seed=1, folds=2, **{**FAST, "epochs": 30})
+        adjacency = tr.knn_adjacency(blobs.X, 5)
+        serial = tr.cross_validate(blobs, cfg, adjacency, n_workers=1)
+        parallel = tr.cross_validate(blobs, cfg, adjacency, n_workers=2)
+        assert serial.folds == parallel.folds
+
 
 class TestParallelMap:
     @pytest.fixture
-    def pool_sizes(self, monkeypatch):
-        """Sizes of the process pools parallel_map asks for; starts none."""
-        sizes = []
+    def fake_pool(self, monkeypatch):
+        """A stand-in for the process pool that starts no process: it runs
+        the initializer and the jobs here, and records the size of each
+        pool and the pickled size of each job it is handed."""
 
         class FakePool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
+            sizes = []
+            job_bytes = []
+
+            def __init__(self, max_workers, initializer, initargs):
+                self.sizes.append(max_workers)
+                initializer(*initargs)
 
             def __enter__(self):
                 return self
@@ -425,11 +451,19 @@ class TestParallelMap:
                 return False
 
             def map(self, fn, jobs):
+                jobs = list(jobs)
+                self.job_bytes.extend(len(pickle.dumps((fn, job))) for job in jobs)
                 return map(fn, jobs)
 
         monkeypatch.setattr(tr, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(tr, "_worker_call", None)
         monkeypatch.delenv(tr.WORKERS_ENV_VAR, raising=False)
-        return sizes
+        return FakePool
+
+    @pytest.fixture
+    def pool_sizes(self, fake_pool):
+        """Sizes of the process pools parallel_map asks for; starts none."""
+        return fake_pool.sizes
 
     def test_never_more_workers_than_jobs(self, pool_sizes):
         assert tr.parallel_map(abs, [-1, -2, -3], n_workers=64) == [1, 2, 3]
@@ -459,6 +493,26 @@ class TestParallelMap:
         assert tr.parallel_map(abs, [-5], n_workers=4) == [5]
         assert tr.parallel_map(abs, [], n_workers=4) == []
         assert pool_sizes == []
+
+    def test_shared_arguments_come_first(self, pool_sizes):
+        for n_workers in (1, 2):
+            assert tr.parallel_map(divmod, [2, 3], n_workers, shared=(7,)) == [(3, 1), (2, 1)]
+        assert pool_sizes == [2]
+
+    def test_fold_job_does_not_grow_with_the_graph(self, fake_pool):
+        # the dataset, the split and a static N x N adjacency reach each
+        # worker once; a fold job is its fold number, whatever N is
+        cfg = tr.TrainConfig(seed=0, folds=2, **{**FAST, "epochs": 1})
+        per_size = []
+        for n_per_class in (5, 60):
+            dataset = make_blobs(n_per_class=n_per_class, seed=1)
+            fake_pool.job_bytes.clear()
+            tr.cross_validate(dataset, cfg, adjacency=tr.knn_adjacency(dataset.X, 3),
+                              n_workers=2)
+            per_size.append(list(fake_pool.job_bytes))
+        assert len(per_size[0]) == 2
+        assert per_size[0] == per_size[1]
+        assert max(per_size[1]) < 200
 
 
 class TestInductive:
