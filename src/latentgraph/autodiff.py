@@ -256,7 +256,10 @@ def _by_row_blocks(kernel: Callable[..., object], *arrays: np.ndarray) -> None:
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum ``grad`` down to ``shape``, undoing numpy broadcasting."""
+    """Sum ``grad`` down to ``shape``, undoing numpy broadcasting; a
+    ``grad`` of that shape already is returned as it is."""
+    if grad.shape == shape:
+        return grad
     extra = grad.ndim - len(shape)
     if extra > 0:
         grad = grad.sum(axis=tuple(range(extra)))
@@ -335,7 +338,7 @@ def _sigmoid_block(x: np.ndarray, out: np.ndarray, t, theta) -> None:
     np.reciprocal(out, out=out)
 
 
-def _sigmoid_values(x: np.ndarray, t=-1.0, theta=0.0) -> np.ndarray:
+def _sigmoid_values(x: np.ndarray, t, theta) -> np.ndarray:
     # 1 / (1 + exp(-z)) in one buffer. exp overflows for z < -709.78 (result
     # 0, where the exact value is subnormal) and underflows for large z
     # (result 1); both saturations are benign, so their flags are silenced.
@@ -405,12 +408,14 @@ def tanh(a) -> Tensor:
 
 
 def softplus(a) -> Tensor:
-    """log(1 + exp(x)), stable for large |x|; derivative is sigmoid(x)."""
+    """log(1 + exp(x)), stable for large |x|. Its derivative sigmoid(x) is
+    read off the output as 1 - exp(-softplus(x)) = -expm1(-softplus(x)),
+    which neither overflows nor cancels."""
     a = as_tensor(a)
     values = np.maximum(a.values, 0.0) + np.log1p(np.exp(-np.abs(a.values)))
 
     def adjoint(g: np.ndarray) -> None:
-        _accumulate(a, g * _sigmoid_values(a.values))
+        _accumulate(a, g * -np.expm1(-values))
 
     return _record(values, "softplus", (a,), adjoint)
 

@@ -72,27 +72,54 @@ def lr_schedule(epoch: int, cfg: TrainConfig) -> float:
 
 
 class AdamState:
-    """A parameter list with its first/second moment buffers and step count."""
+    """A parameter list with its step count and its first/second moments,
+    each one flat vector over all the parameters in order. ``update`` is a
+    step's update in the same layout; ``shares`` are its views in the
+    parameters' shapes."""
 
     def __init__(self, params: Sequence[Tensor]):
         self.params = list(params)
-        self.m = [np.zeros_like(p.values) for p in self.params]
-        self.v = [np.zeros_like(p.values) for p in self.params]
+        self.sizes = [p.values.size for p in self.params]
+        self.m = np.zeros(sum(self.sizes))
+        self.v = np.zeros(sum(self.sizes))
+        self.update = np.zeros(sum(self.sizes))
+        ends = np.cumsum(self.sizes).tolist()
+        self.shares = [self.update[end - size:end].reshape(p.values.shape)
+                       for p, size, end in zip(self.params, self.sizes, ends)]
         self.step = 0
 
 
 def adam_step(state: AdamState, lr: float) -> None:
     """Bias-corrected Adam update of ``state.params`` from their ``grad``,
-    applied in place."""
+    applied in place. Adam is elementwise, so it runs once over all the
+    gradients concatenated, each element through the same arithmetic as a
+    per-parameter update. A missing or mis-sized gradient raises
+    ``ContractError`` before anything changes."""
+    grads = [p.grad for p in state.params]
+    for i, (p, g, size) in enumerate(zip(state.params, grads, state.sizes)):
+        if g is None or g.size != size:
+            got = "no gradient" if g is None else f"a gradient of shape {g.shape}"
+            raise ContractError(f"parameter {i} of shape {p.shape} has {got}")
+    # ravel, not axis=None: a 0-d gradient may be a numpy scalar, which
+    # concatenate would convert at about 1 us each
+    g = np.concatenate([g.ravel() for g in grads])
     state.step += 1
     t = state.step
-    for i, p in enumerate(state.params):
-        g = p.grad
-        state.m[i] = ADAM_BETA1 * state.m[i] + (1.0 - ADAM_BETA1) * g
-        state.v[i] = ADAM_BETA2 * state.v[i] + (1.0 - ADAM_BETA2) * (g * g)
-        m_hat = state.m[i] / (1.0 - ADAM_BETA1 ** t)
-        v_hat = state.v[i] / (1.0 - ADAM_BETA2 ** t)
-        p.values -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
+    m, v, update = state.m, state.v, state.update
+    m *= ADAM_BETA1
+    m += g * (1.0 - ADAM_BETA1)
+    g *= g
+    g *= 1.0 - ADAM_BETA2
+    v *= ADAM_BETA2
+    v += g
+    np.divide(m, 1.0 - ADAM_BETA1 ** t, out=update)
+    update *= lr
+    denom = np.divide(v, 1.0 - ADAM_BETA2 ** t, out=g)
+    np.sqrt(denom, out=denom)
+    denom += ADAM_EPSILON
+    update /= denom
+    for p, share in zip(state.params, state.shares):
+        p.values -= share
 
 
 @dataclass

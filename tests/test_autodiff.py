@@ -163,6 +163,36 @@ class TestSigmoid:
         np.testing.assert_allclose(x.grad, 3.0 * s * (1 - s), rtol=1e-15)
 
 
+class TestSoftplus:
+    @pytest.mark.filterwarnings("error")
+    def test_adjoint_matches_two_branch_sigmoid(self):
+        # the adjoint reads sigmoid(x) off the output as -expm1(-softplus(x))
+        def two_branch(x):
+            ez = np.exp(-np.abs(x))
+            return np.where(x >= 0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
+
+        x = np.concatenate([np.linspace(-745.0, 1000.0, 200_001),
+                            np.linspace(-40.0, 40.0, 80_001),
+                            [-745.0, -709.79, -0.0, 37.0, 710.0, 1000.0]])
+        expected = two_branch(x)
+        p = ad.parameter(x)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            ad.backward(ad.sum_all(ad.softplus(p)))
+        assert np.all(np.isfinite(p.grad))
+        # the saturated ends are included: subnormal below, 1 above
+        assert expected[0] < np.finfo(np.float64).tiny and expected[-1] == 1.0
+        assert np.all(np.abs(p.grad - expected) <= 4.5e-16 * expected)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("x", [-745.0, -3.0, 0.0, 2.0, 1000.0])
+    def test_adjoint_of_a_0d_input(self, x):
+        p = ad.parameter(np.asarray(x))
+        ad.backward(ad.mul(ad.softplus(p), 3.0))
+        ez = np.exp(-abs(x))
+        s = 1.0 / (1.0 + ez) if x >= 0 else ez / (1.0 + ez)
+        assert abs(p.grad - 3.0 * s) <= 4.5e-16 * 3.0 * s
+
+
 class TestBackward:
     def test_sum_gives_ones(self):
         w = ad.parameter(RNG.normal(size=(3, 4)))

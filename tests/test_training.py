@@ -117,6 +117,51 @@ class TestAdam:
         for got, want in zip(actual, expected):
             np.testing.assert_allclose(got, want, atol=1e-10)
 
+    def test_flat_update_matches_per_tensor_loop_bit_for_bit(self):
+        # a 0-d parameter whose gradient is a numpy scalar (as sigmoid's
+        # threshold sum is), a vector and a matrix
+        rng = np.random.default_rng(5)
+        shapes = [(), (4,), (3, 5)]
+        start = [rng.normal(size=s) for s in shapes]
+        params = [ad.parameter(x.copy()) for x in start]
+        captured = [p.values for p in params]
+        state = tr.AdamState(params)
+        expected = [x.copy() for x in start]
+        m = [np.zeros_like(x) for x in start]
+        v = [np.zeros_like(x) for x in start]
+        for t in range(1, 6):
+            grads = [np.float64(rng.normal()), *(rng.normal(size=s) for s in shapes[1:])]
+            for p, g in zip(params, grads):
+                p.grad = g
+            tr.adam_step(state, lr=0.05)
+            for i, g in enumerate(grads):
+                m[i] = tr.ADAM_BETA1 * m[i] + (1.0 - tr.ADAM_BETA1) * g
+                v[i] = tr.ADAM_BETA2 * v[i] + (1.0 - tr.ADAM_BETA2) * (g * g)
+                m_hat = m[i] / (1.0 - tr.ADAM_BETA1 ** t)
+                v_hat = v[i] / (1.0 - tr.ADAM_BETA2 ** t)
+                expected[i] -= 0.05 * m_hat / (np.sqrt(v_hat) + tr.ADAM_EPSILON)
+            for p, values, want in zip(params, captured, expected):
+                assert p.values is values
+                assert np.array_equal(values, want)
+
+    @pytest.mark.parametrize("grad, message", [
+        (None, "parameter 1 of shape \\(3,\\) has no gradient"),
+        (np.ones(1), "parameter 1 of shape \\(3,\\) has a gradient of shape \\(1,\\)"),
+        (np.ones((2, 2)), "parameter 1 of shape \\(3,\\) has a gradient of shape \\(2, 2\\)"),
+    ], ids=["missing", "broadcastable", "too_large"])
+    def test_bad_gradient_raises_before_anything_changes(self, grad, message):
+        a, b = ad.parameter(np.ones(3)), ad.parameter(np.ones(3))
+        state = tr.AdamState([a, b])
+        a.grad, b.grad = np.ones(3), np.ones(3)
+        tr.adam_step(state, lr=0.1)
+        before = [a.values.copy(), b.values.copy(), state.m.copy(), state.v.copy()]
+        a.grad, b.grad = np.ones(3), grad
+        with pytest.raises(ContractError, match=message):
+            tr.adam_step(state, lr=0.1)
+        assert state.step == 1
+        after = [a.values, b.values, state.m, state.v]
+        assert all(np.array_equal(x, y) for x, y in zip(before, after))
+
 
 class TestStratifiedKFold:
     def test_balanced_two_class(self):
