@@ -338,16 +338,6 @@ def _sigmoid_block(x: np.ndarray, out: np.ndarray, t, theta) -> None:
     np.reciprocal(out, out=out)
 
 
-def _sigmoid_values(x: np.ndarray, t, theta) -> np.ndarray:
-    # 1 / (1 + exp(-z)) in one buffer. exp overflows for z < -709.78 (result
-    # 0, where the exact value is subnormal) and underflows for large z
-    # (result 1); both saturations are benign, so their flags are silenced.
-    out = np.empty_like(x)
-    with np.errstate(over="ignore", under="ignore"):
-        _by_row_blocks(lambda x, out: _sigmoid_block(x, out, t, theta), x, out)
-    return out
-
-
 def _sigmoid_grad_block(g: np.ndarray, s: np.ndarray, x: np.ndarray, t, theta,
                         sums: np.ndarray | None) -> None:
     d = np.subtract(1.0, s)
@@ -364,22 +354,25 @@ def _sigmoid_grad_block(g: np.ndarray, s: np.ndarray, x: np.ndarray, t, theta,
         sums[1] -= g.sum()
 
 
-def sigmoid(a, temperature=None, threshold=None) -> Tensor:
+def sigmoid(a, temperature, threshold) -> Tensor:
     """Elementwise sigmoid(temperature * (threshold - a)) for two 0-d
     tensors: the edge weights of a learned graph in one op, so neither the
     affine map nor its inputs' difference is recorded. Its adjoint rebuilds
-    threshold - a a row block at a time. Called with neither scalar it is
-    the plain sigmoid(a): the same op at temperature -1 and threshold 0."""
+    threshold - a a row block at a time."""
     a = as_tensor(a)
-    if temperature is None and threshold is None:
-        temperature, threshold = -1.0, 0.0
     t = None if temperature is None else as_tensor(temperature)
     theta = None if threshold is None else as_tensor(threshold)
     if t is None or theta is None or t.values.ndim or theta.values.ndim:
         raise DimensionError(
             "sigmoid expects a 0-d temperature and a 0-d threshold, got "
             f"{getattr(t, 'shape', None)} and {getattr(theta, 'shape', None)}")
-    values = _sigmoid_values(a.values, t.values, theta.values)
+    # 1 / (1 + exp(-z)) in one buffer. exp overflows for z < -709.78 (result
+    # 0, where the exact value is subnormal) and underflows for large z
+    # (result 1); both saturations are benign, so their flags are silenced.
+    values = np.empty_like(a.values)
+    with np.errstate(over="ignore", under="ignore"):
+        _by_row_blocks(lambda x, out: _sigmoid_block(
+            x, out, t.values, theta.values), a.values, values)
 
     def adjoint(g: np.ndarray) -> None:
         g = np.asarray(g)  # the g of a 0-d output may be a numpy scalar
@@ -542,17 +535,17 @@ def row_normalize(a) -> Tensor:
     Only the row sums are computed: the result keeps ``a`` and them, and
     ``matmul`` multiplies through both, so P itself is never stored.
     Reading the result's ``values`` costs one N x N pass and a fresh N x N
-    array each time. Rows must have strictly positive sums; a non-positive
-    row raises a NumericalError naming the offending row.
+    array each time. Rows must have strictly positive sums; any other row,
+    NaN included, raises a NumericalError naming the offending row.
     """
     a = as_tensor(a)
     if a.values.ndim != 2:
         raise DimensionError(f"row_normalize expects a matrix, got {a.shape}")
     denom = a.values.sum(axis=1, keepdims=True)
-    if np.any(denom <= 0.0):
-        i = int(np.argmin(denom))
+    if not np.all(denom > 0.0):
+        i = int(np.argmin(denom))  # the first NaN row, if there is one
         raise NumericalError(
-            f"row_normalize: row {i} has non-positive sum {denom[i, 0]!r}")
+            f"row_normalize: row {i} has sum {float(denom[i, 0])!r}, not strictly positive")
 
     def adjoint(g: np.ndarray | _OperatorGrad) -> None:
         # dS = (dP - rowdot(dP, P)) / denom: the factors' share is one
@@ -635,10 +628,3 @@ def row_indices(mask, n: int) -> np.ndarray:
     if np.any(idx < 0) or np.any(idx >= n):
         raise ContractError(f"row index outside [0, {n})")
     return idx
-
-
-def softmax_rows(values: np.ndarray) -> np.ndarray:
-    """Plain-numpy row softmax (no gradient), shared by evaluation code."""
-    z = values - values.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)

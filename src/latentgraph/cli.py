@@ -1,11 +1,12 @@
 """Command-line entry point for training, evaluation, and the synthetic
 graph-recovery experiments.
 
-Exit codes: 0 on success, 1 on usage errors, 2 on runtime or numerical
-errors. All outputs land under ``--out-dir``; every command but
-``gradcheck`` also writes ``run.json`` there, holding the command name,
-the seed and the command's own fields (e.g. ``epochs`` for ``train``,
-``folds`` for ``cross-validate``), not the full configuration.
+Exit codes: 0 on success, 1 on usage errors (a negative ``--seed`` among
+them), 2 on runtime or numerical errors. All outputs land under
+``--out-dir``; every command but ``gradcheck`` also writes ``run.json``
+there, holding the command name, the seed (``synth-curves`` takes none)
+and the command's own fields (e.g. ``epochs`` for ``train``, ``folds``
+for ``cross-validate``), not the full configuration.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -43,6 +44,13 @@ def _list_of(kind, noun: str):
     return parse
 
 
+def _seed(text: str) -> int:
+    """argparse type: a non-negative decimal integer, as numpy's generators take."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
     """The data and training flags of every command that trains the model."""
     p.add_argument("--data", required=True, help="input CSV with a header row")
@@ -67,19 +75,20 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
 
 def build_parser() -> _Parser:
     common = _Parser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     common.add_argument("--out-dir", default="out", help="output directory")
+    seeded = _Parser(add_help=False, parents=[common])
+    seeded.add_argument("--seed", type=_seed, default=0, help="RNG seed (default 0)")
 
     parser = _Parser(prog="latentgraph",
                      description="Differentiable population-graph learning")
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
 
-    p = sub.add_parser("train", parents=[common],
+    p = sub.add_parser("train", parents=[seeded],
                        help="train on all labeled rows, write history")
     _add_model_flags(p)
 
-    p = sub.add_parser("cross-validate", parents=[common],
+    p = sub.add_parser("cross-validate", parents=[seeded],
                        help="stratified k-fold CV; prints accuracy and AUC")
     _add_model_flags(p)
     p.add_argument("--with-baselines", action="store_true",
@@ -87,32 +96,33 @@ def build_parser() -> _Parser:
     p.add_argument("--knn-k", type=int, default=10,
                    help="neighbor count for the kNN-graph baseline")
 
-    p = sub.add_parser("infer", parents=[common],
+    p = sub.add_parser("infer", parents=[seeded],
                        help="train, then predict labels for unseen rows")
     _add_model_flags(p)
     p.add_argument("--test-data", required=True,
                    help="CSV of unseen rows (same feature columns; label optional)")
 
-    p = sub.add_parser("export-graph", parents=[common],
+    p = sub.add_parser("export-graph", parents=[seeded],
                        help="train, then export the learned adjacency as CSV")
     _add_model_flags(p)
 
-    p = sub.add_parser("synth-recover", parents=[common],
+    p = sub.add_parser("synth-recover", parents=[seeded],
                        help="recover a random graph from neighbor-sum targets")
     p.add_argument("--nodes", type=int, default=10)
     p.add_argument("--dim", type=int, default=8)
     p.add_argument("--edge-prob", type=float, default=0.3)
     p.add_argument("--iterations", type=int, default=2000)
 
-    p = sub.add_parser("synth-curves", parents=[common],
+    # no abbreviations, so --seed is not read as --seeds
+    p = sub.add_parser("synth-curves", parents=[common], allow_abbrev=False,
                        help="recovery error over node-count/dimension grids")
     p.add_argument("--nodes", type=_list_of(int, "integers"), default=[5, 10, 20])
     p.add_argument("--dims", type=_list_of(int, "integers"), default=[2, 8, 16])
-    p.add_argument("--seeds", type=int, default=5, help="seeds per cell")
+    p.add_argument("--seeds", type=int, default=5, help="seeds per cell: 0, 1, ...")
     p.add_argument("--edge-prob", type=float, default=0.3)
     p.add_argument("--iterations", type=int, default=2000)
 
-    sub.add_parser("gradcheck", parents=[common],
+    sub.add_parser("gradcheck", parents=[seeded],
                    help="finite-difference check of every autodiff operation")
     return parser
 
@@ -139,11 +149,9 @@ def _train_config(args) -> training.TrainConfig:
         gc_widths=tuple(args.gc_widths))
 
 
-def _write_run_info(out_dir: Path, args, extra: Optional[dict] = None) -> None:
-    payload = {"command": args.command, "seed": args.seed}
-    if extra:
-        payload.update(extra)
-    data_io.write_metrics_json(out_dir / "run.json", payload)
+def _write_run_info(out_dir: Path, args, fields: dict) -> None:
+    common = {k: v for k, v in vars(args).items() if k in ("command", "seed")}
+    data_io.write_metrics_json(out_dir / "run.json", {**common, **fields})
 
 
 def _cmd_train(args, out_dir: Path) -> int:
@@ -258,7 +266,7 @@ def _cmd_synth_curves(args, out_dir: Path) -> int:
                         format(c.agreement, ".10g")] for c in cells))
     for (n, dim), (mean, std) in synthetic.summarize_curves(cells).items():
         print(f"nodes={n:4d} dim={dim:4d}  mse {mean:.4e} +- {std:.1e}")
-    _write_run_info(out_dir, args, {"cells": len(cells)})
+    _write_run_info(out_dir, args, {"seeds": args.seeds, "cells": len(cells)})
     print(f"wrote {path}")
     return 0
 

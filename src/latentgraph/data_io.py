@@ -15,7 +15,7 @@ from .errors import ContractError, DataError, DimensionError, ParseError
 
 logger = logging.getLogger(__name__)
 
-_MISSING_TOKENS = {"", "na", "nan", "null", "none"}
+_MISSING_TOKENS = {"", "na", "nan", "+nan", "-nan", "null", "none"}
 
 
 @dataclass
@@ -44,16 +44,16 @@ def load_csv(path, id_col: str, label_col: Optional[str] = None,
 
     ``feature_cols`` may be an explicit list or "rest", meaning every
     column that is neither the id nor the label. ``label_col`` may be
-    None for unlabeled files (inductive test sets). Rows with a missing
-    label are dropped (with a logged count). Missing feature cells are
-    imputed by the column mean of the present values.
-    Label values are mapped to dense integers in [0, C) sorted by value
-    (numerically when every label parses as a number); when
-    ``quantize_edges`` is given, labels are parsed as floats and binned
-    first. Malformed feature cells raise a ParseError naming the file
-    line and column, as does a header that names a column twice, or an
-    explicit feature list that names the id or label column, or one
-    column twice.
+    None for unlabeled files (inductive test sets). Empty, na, null, none
+    and NaN cells (nan, +nan, -nan, any case) are missing: rows with a
+    missing label are dropped (with a logged count), and missing feature
+    cells take the column mean of the present values. Label values are
+    mapped to dense integers in [0, C) sorted by value (numerically when
+    every label parses as a number); when ``quantize_edges`` is given,
+    labels are parsed as floats and binned first. Malformed or infinite
+    feature cells raise a ParseError naming the file line and column, as
+    does a header that names a column twice, or an explicit feature list
+    that names the id or label column, or one column twice.
     """
     path = Path(path)
     try:
@@ -120,6 +120,9 @@ def load_csv(path, id_col: str, label_col: Optional[str] = None,
                 raise ParseError(
                     f"{path} line {line_no}, column {name!r}: "
                     f"non-numeric value {cell!r}") from None
+            if np.isinf(parsed[-1]):
+                raise ParseError(
+                    f"{path} line {line_no}, column {name!r}: infinite value {cell!r}")
         node_ids.append(row[id_idx].strip())
         if label_idx is not None:
             raw_labels.append(row[label_idx].strip())
@@ -172,14 +175,14 @@ def quantize_labels(values, edges) -> np.ndarray:
     """Bin continuous values into integer labels.
 
     Bin b covers [edges[b], edges[b+1]); the top bin additionally
-    includes its right edge. Values outside [edges[0], edges[-1]] raise a
-    DataError listing the offenders.
+    includes its right edge. NaN and values outside [edges[0], edges[-1]]
+    raise a DataError listing the offenders.
     """
     values = np.asarray(values, dtype=np.float64)
     edges = np.asarray(edges, dtype=np.float64)
     if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):
         raise ContractError("edges must be a strictly increasing 1-D sequence")
-    out_of_range = (values < edges[0]) | (values > edges[-1])
+    out_of_range = ~((values >= edges[0]) & (values <= edges[-1]))  # NaN too
     if out_of_range.any():
         offenders = np.asarray(values)[out_of_range]
         raise DataError(

@@ -67,39 +67,15 @@ def init_model(features: np.ndarray, n_classes: int, *,
                        fc_weight=fc_weight, fc_bias=fc_bias)
 
 
-def _check_adjacency(a: Tensor, h: Tensor) -> None:
-    if a.values.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionError(f"adjacency must be square, got {a.shape}")
-    if a.shape[1] != h.shape[0]:
-        raise DimensionError(
-            f"adjacency {a.shape} does not match features {h.shape}")
-
-
-def gc_layer(adjacency, features, weight) -> Tensor:
-    """One spatial graph convolution: degree-normalized neighbor average
-    of the feature rows, then a linear map.
-
-    Output row i is (sum_j a_ij * h_j / sum_j a_ij) @ W, computed as
-    (A @ (h @ W)) / rowsum(A), so the normalized adjacency is never
-    formed. Whenever no error is raised, rows of the normalized adjacency
-    sum to 1, so constant features are preserved when W is the identity;
-    a row whose sum is not positive raises NumericalError.
-    """
-    a = ad.as_tensor(adjacency)
-    h = ad.as_tensor(features)
-    _check_adjacency(a, h)
-    return ad.matmul(ad.row_normalize(a), ad.matmul(h, weight))
-
-
 def forward(features, params: ModelParams, adjacency=None) -> Tensor:
     """Logits for every node.
 
     Pipeline: embed -> soft adjacency -> stacked graph convolutions with
-    ReLU after each -> linear FC head. The adjacency and its row sums are
-    computed once per forward pass, and that one operator is shared by
-    all layers, so each layer equals ``gc_layer`` on the raw
-    adjacency. Passing ``adjacency`` short-circuits the graph-learning
-    stage (static-graph baseline).
+    ReLU after each -> linear FC head. Each convolution maps row i to
+    (sum_j a_ij * h_j / sum_j a_ij) @ W; the adjacency's row sums are
+    computed once per forward pass and shared by all layers, and the
+    normalized adjacency is never formed. Passing ``adjacency``
+    short-circuits the graph-learning stage (static-graph baseline).
     """
     x = ad.as_tensor(features)
     if adjacency is None:
@@ -110,7 +86,10 @@ def forward(features, params: ModelParams, adjacency=None) -> Tensor:
         a = gl.soft_adjacency(embedding, params.edge)
     else:
         a = ad.as_tensor(adjacency)
-    _check_adjacency(a, x)
+    if a.values.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DimensionError(f"adjacency must be square, got {a.shape}")
+    if a.shape[1] != x.shape[0]:
+        raise DimensionError(f"adjacency {a.shape} does not match features {x.shape}")
     operator = ad.row_normalize(a)
     h = x
     for w in params.gc_weights:

@@ -80,8 +80,8 @@ class RecoveryConfig:
     def __post_init__(self) -> None:
         if self.embedding_dim < 1:
             raise ContractError("embedding_dim must be at least 1")
-        if self.iterations < 0:
-            raise ContractError("iterations must be non-negative")
+        if self.iterations < 0 or self.seed < 0:
+            raise ContractError("iterations and seed must be non-negative")
 
 
 @dataclass

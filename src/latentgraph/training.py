@@ -53,8 +53,8 @@ class TrainConfig:
     gc_widths: tuple[int, ...] = (16, 8)
 
     def __post_init__(self) -> None:
-        if self.epochs < 0:
-            raise ContractError("epochs must be non-negative")
+        if self.epochs < 0 or self.seed < 0:
+            raise ContractError("epochs and seed must be non-negative")
         if not (0.0 < self.lr_min <= self.lr0):
             raise ContractError("need 0 < lr_min <= lr0")
         if self.folds < 2:
@@ -174,7 +174,7 @@ def train(dataset, cfg: TrainConfig, train_mask=None, val_mask=None,
     ``dataset`` needs ``X`` (N x d) and ``y`` (N integer labels); the loss
     only sees rows selected by ``train_mask`` (default: all). Returns the
     final parameters and the per-epoch history. Deterministic given
-    ``cfg.seed``. A non-finite loss aborts with diagnostics.
+    ``cfg.seed``. A non-finite loss or row sum aborts with diagnostics.
     """
     x = np.asarray(dataset.X, dtype=np.float64)
     y = np.asarray(dataset.y)
@@ -193,13 +193,16 @@ def train(dataset, cfg: TrainConfig, train_mask=None, val_mask=None,
     history: list[EpochRecord] = []
     for epoch in range(cfg.epochs):
         lr = lr_schedule(epoch, cfg)
-        logits = gcn.forward(x, params, adjacency=adjacency)
-        loss = ad.row_softmax_cross_entropy(logits, y, train_idx)
-        loss_value = loss.item()
-        if not np.isfinite(loss_value):
+        try:
+            logits = gcn.forward(x, params, adjacency=adjacency)
+            loss = ad.row_softmax_cross_entropy(logits, y, train_idx)
+            loss_value = loss.item()
+            if not np.isfinite(loss_value):
+                raise NumericalError("non-finite loss")
+        except NumericalError as exc:  # a non-finite loss or row sum
             norms = ", ".join(f"{np.linalg.norm(t.values):.3e}" for t in tensors)
             raise NumericalError(
-                f"non-finite loss at epoch {epoch}; parameter norms: [{norms}]")
+                f"{exc} at epoch {epoch}; parameter norms: [{norms}]") from None
         ad.backward(loss)
         adam_step(state, lr)
         preds = gcn.predict(logits)
@@ -315,7 +318,8 @@ def evaluate(params: gcn.ModelParams, dataset, mask,
         raise ContractError("evaluation mask must be non-empty")
     with ad.no_grad():
         logits = gcn.forward(x, params, adjacency=adjacency)
-    probs = ad.softmax_rows(logits.values)
+    e = np.exp(logits.values - logits.values.max(axis=1, keepdims=True))
+    probs = e / e.sum(axis=1, keepdims=True)
     preds = gcn.predict(logits)
     accuracy = float(np.mean(preds[idx] == y[idx]))
     auc = macro_ovr_auc(probs[idx], y[idx])
@@ -427,11 +431,6 @@ def ridge_fit(features: np.ndarray, labels: np.ndarray, n_classes: int) -> np.nd
     return np.linalg.solve(gram, x.T @ targets)
 
 
-def ridge_scores(weights: np.ndarray, features: np.ndarray) -> np.ndarray:
-    x = np.hstack([features, np.ones((features.shape[0], 1))])
-    return x @ weights
-
-
 def linear_baseline(dataset, folds: FoldSplit) -> CVMetrics:
     """Ridge-regression classifier under the same CV protocol."""
     x = np.asarray(dataset.X, dtype=np.float64)
@@ -440,7 +439,7 @@ def linear_baseline(dataset, folds: FoldSplit) -> CVMetrics:
     fold_metrics = []
     for tr, te in zip(folds.train_indices, folds.test_indices):
         weights = ridge_fit(x[tr], y[tr], n_classes)
-        scores = ridge_scores(weights, x[te])
+        scores = np.hstack([x[te], np.ones((te.size, 1))]) @ weights
         accuracy = float(np.mean(np.argmax(scores, axis=1) == y[te]))
         auc = macro_ovr_auc(scores, y[te])
         fold_metrics.append(Metrics(accuracy=accuracy, auc=auc))

@@ -22,6 +22,10 @@ finite_matrices = arrays(np.float64, (4, 3),
                          elements=st.floats(-1e3, 1e3, allow_nan=False))
 
 
+def plain_sigmoid(x):
+    return ad.sigmoid(x, -1.0, 0.0)  # 1 / (1 + exp(-x)), bit for bit
+
+
 def matmul_oracle(a, b):
     """Brute-force triple loop."""
     m, k = a.shape
@@ -110,18 +114,18 @@ class TestPairwiseEuclidean:
 
 class TestSigmoid:
     def test_zero(self):
-        assert ad.sigmoid(np.asarray(0.0)).values == 0.5
+        assert plain_sigmoid(np.asarray(0.0)).values == 0.5
 
     def test_saturation_no_overflow(self):
         with np.errstate(over="raise"):
-            hi = ad.sigmoid(np.asarray(40.0)).values
-            lo = ad.sigmoid(np.asarray(-745.0)).values
+            hi = plain_sigmoid(np.asarray(40.0)).values
+            lo = plain_sigmoid(np.asarray(-745.0)).values
         assert abs(hi - 1.0) < 1e-15
         assert lo >= 0.0
 
     def test_value_at_two(self):
         # frozen from a 40-digit evaluation of 1 / (1 + exp(-2))
-        assert abs(ad.sigmoid(np.asarray(2.0)).values - 0.8807970779778823) < 1e-15
+        assert abs(plain_sigmoid(np.asarray(2.0)).values - 0.8807970779778823) < 1e-15
 
     def test_matches_two_branch_reference(self):
         # The former kernel: both branches exponentiate only -|x|.
@@ -135,7 +139,7 @@ class TestSigmoid:
         with np.errstate(under="ignore"):
             expected = two_branch(x)
         with np.errstate(all="raise"):
-            got = ad.sigmoid(x).values
+            got = plain_sigmoid(x).values
         tiny = np.finfo(np.float64).tiny
         normal = expected >= tiny
         assert normal.any() and (~normal).any()
@@ -148,7 +152,7 @@ class TestSigmoid:
 
     def test_adjoint_uses_s_times_one_minus_s(self):
         x = ad.parameter(np.array([0.3, -1.2]))
-        out = ad.sigmoid(x)
+        out = plain_sigmoid(x)
         ad.backward(ad.sum_all(out))
         s = out.values
         np.testing.assert_allclose(x.grad, s * (1 - s), atol=1e-15)
@@ -157,7 +161,7 @@ class TestSigmoid:
         # mul by a 0-d operand hands the other 0-d input the numpy scalar
         # np.vdot(g, c), which the in-place adjoint must still scale
         x = ad.parameter(np.asarray(0.3))
-        out = ad.sigmoid(x)
+        out = plain_sigmoid(x)
         ad.backward(ad.mul(out, 3.0))
         s = out.values
         np.testing.assert_allclose(x.grad, 3.0 * s * (1 - s), rtol=1e-15)
@@ -278,10 +282,10 @@ class TestBackward:
         w = ad.parameter(RNG.normal(size=(2, 3)))
         with pytest.raises(ContractError):
             with ad.no_grad():
-                out = ad.sum_all(ad.sigmoid(w))
+                out = ad.sum_all(plain_sigmoid(w))
                 assert out.op is None and not out.requires_grad
                 raise ContractError("leaves the block")
-        assert ad.sum_all(ad.sigmoid(w)).op == "sum_all"
+        assert ad.sum_all(plain_sigmoid(w)).op == "sum_all"
 
     def test_a_tensor_added_to_its_negation_gives_zero(self):
         w = ad.parameter(RNG.normal(size=(2, 3)))
@@ -332,8 +336,8 @@ class TestRowBlocks:
 
     @pytest.mark.parametrize("op, shape", [
         (ad.pairwise_euclidean, (N, 4)),
-        (ad.sigmoid, (N, N)),
-        (lambda a: ad.row_normalize(ad.sigmoid(a)), (N, N)),
+        (plain_sigmoid, (N, N)),
+        (lambda a: ad.row_normalize(plain_sigmoid(a)), (N, N)),
     ], ids=["pairwise_euclidean", "sigmoid", "row_normalize"])
     def test_forward_and_adjoint_equal_one_block(self, op, shape, monkeypatch):
         values = [RNG.uniform(-2.0, 2.0, size=shape)]
@@ -405,7 +409,7 @@ class TestRowBlocks:
 def affine_chain(d, t, theta):
     """The edge weights sigmoid(t * (theta - d)) as four recorded ops;
     theta + (-d) has the same bits as theta - d."""
-    return ad.sigmoid(ad.mul(t, ad.add(theta, ad.mul(-1.0, d))))
+    return plain_sigmoid(ad.mul(t, ad.add(theta, ad.mul(-1.0, d))))
 
 
 class TestAffineSigmoid:
@@ -584,7 +588,7 @@ class TestGradientBuffers:
         values = [RNG.uniform(-1.0, 1.0, size=s) for s in shapes]
         weight = RNG.normal(size=(self.N, self.N))
         params = [ad.parameter(v.copy()) for v in values]
-        loss = ad.sum_all(ad.mul(ad.row_normalize(ad.sigmoid(op(*params))), weight))
+        loss = ad.sum_all(ad.mul(ad.row_normalize(plain_sigmoid(op(*params))), weight))
         zero_fill_backward(loss)
         reference = [p.grad.copy() for p in params]
         ad.backward(loss)
@@ -660,6 +664,14 @@ class TestPlumbingOps:
         a = np.ones((3, 3))
         a[1] = 0.0
         with pytest.raises(NumericalError, match="row 1"):
+            ad.row_normalize(a)
+
+    @pytest.mark.filterwarnings("error")
+    def test_row_normalize_nan_row_names_node(self):
+        # NaN <= 0 is False, so the positivity test must be written as > 0
+        a = np.ones((3, 3))
+        a[2, 0] = np.nan
+        with pytest.raises(NumericalError, match="row 2 has sum nan"):
             ad.row_normalize(a)
 
     def test_cross_entropy_matches_loop_oracle(self):
@@ -799,7 +811,7 @@ class TestNumericalHygiene:
     @settings(max_examples=25, deadline=None)
     def test_no_nan_inf_for_bounded_inputs(self, x):
         with np.errstate(over="raise", invalid="raise"):
-            assert np.all(np.isfinite(ad.sigmoid(x).values))
+            assert np.all(np.isfinite(plain_sigmoid(x).values))
             assert np.all(np.isfinite(ad.softplus(x).values))
             assert np.all(np.isfinite(ad.tanh(x).values))
             labels = np.zeros(x.shape[0], dtype=int)
@@ -808,6 +820,6 @@ class TestNumericalHygiene:
 
     def test_forward_determinism_bit_identical(self):
         e = RNG.normal(size=(6, 4))
-        first = ad.sigmoid(ad.pairwise_euclidean(e)).values
-        second = ad.sigmoid(ad.pairwise_euclidean(e)).values
+        first = plain_sigmoid(ad.pairwise_euclidean(e)).values
+        second = plain_sigmoid(ad.pairwise_euclidean(e)).values
         assert np.array_equal(first, second)

@@ -177,6 +177,31 @@ class TestSynthRecover:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+class TestSeed:
+    @pytest.mark.parametrize("command", [
+        "train", "cross-validate", "infer", "export-graph", "synth-recover",
+        "gradcheck"])
+    def test_negative_seed_is_usage_error(self, command, data_csv, tmp_path, capsys):
+        argv = [command, "--seed", "-1", "--out-dir", str(tmp_path / "o")]
+        if command not in ("synth-recover", "gradcheck"):
+            argv += ["--data", str(data_csv), "--label-col", "dx", *FAST_FLAGS]
+        if command == "infer":
+            argv += ["--test-data", str(data_csv)]
+        assert cli.run(argv) == 1
+        err = capsys.readouterr().err
+        assert err == "usage error: argument --seed: expected a non-negative integer, got '-1'\n"
+
+    def test_synth_curves_takes_no_seed(self, tmp_path, capsys):
+        # it runs seeds 0 .. --seeds - 1, so a --seed would be recorded unused
+        argv = ["synth-curves", "--nodes", "3", "--dims", "2", "--seeds", "2",
+                "--iterations", "1", "--out-dir", str(tmp_path)]
+        assert cli.run([*argv, "--seed", "0"]) == 1
+        assert capsys.readouterr().err.startswith("usage error: unrecognized arguments: --seed")
+        assert cli.run(argv) == 0
+        run_info = json.loads((tmp_path / "run.json").read_text())
+        assert run_info == {"command": "synth-curves", "seeds": 2, "cells": 2}
+
+
 class TestSynthCurves:
     def test_writes_table(self, tmp_path, capsys):
         out = tmp_path / "curves"

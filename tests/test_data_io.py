@@ -46,6 +46,29 @@ class TestLoadCsv:
         with pytest.raises(ParseError, match="line 3.*'f1'"):
             data_io.load_csv(path, "id", "dx")
 
+    @pytest.mark.parametrize("cell", ["inf", "-Infinity", "1e999"])
+    def test_infinite_cell_reports_coordinates(self, tmp_path, cell):
+        path = write(tmp_path, f"id,dx,f1\np1,a,1\np2,b,{cell}\n")
+        with pytest.raises(ParseError, match=f"line 3, column 'f1': infinite value '{cell}'"):
+            data_io.load_csv(path, "id", "dx")
+
+    def test_every_nan_spelling_is_missing(self, tmp_path, caplog):
+        # float() reads all of these as NaN: labels drop, features impute
+        path = write(tmp_path, "id,dx,f1\np1,1,2.0\np2,-nan,5\np3,2,-NaN\n"
+                               "p4,+NAN,1\np5,2,4.0\np6,1,+nan\n")
+        with caplog.at_level("WARNING", logger="latentgraph.data_io"):
+            ds = data_io.load_csv(path, "id", "dx")
+        assert ds.node_ids == ["p1", "p3", "p5", "p6"]
+        assert ds.class_names == ["1", "2"]
+        assert np.array_equal(ds.X[:, 0], [2.0, 3.0, 4.0, 3.0])
+        assert "dropped 2 rows" in caplog.text
+
+    def test_nan_label_is_dropped_before_quantization(self, tmp_path):
+        path = write(tmp_path, "id,age,f1\np1,55,1\np2,-nan,2\np3,89,3\n")
+        ds = data_io.load_csv(path, "id", "age", quantize_edges=[50, 60, 70, 80, 90])
+        assert ds.node_ids == ["p1", "p3"]
+        assert np.array_equal(ds.y, [0, 3])
+
     def test_absent_column_rejected(self, tmp_path):
         path = write(tmp_path, "id,dx,f1\np1,a,1\n")
         with pytest.raises(ParseError, match="'nope'"):
@@ -124,6 +147,10 @@ class TestQuantizeLabels:
             data_io.quantize_labels([55.0, 49.5], self.EDGES)
         with pytest.raises(DataError, match="90.1"):
             data_io.quantize_labels([90.1], self.EDGES)
+
+    def test_nan_rejected(self):
+        with pytest.raises(DataError, match=r"\[nan\]"):
+            data_io.quantize_labels([np.nan, 1.0], [0, 1, 2])
 
     def test_non_increasing_edges_rejected(self):
         with pytest.raises(ContractError):

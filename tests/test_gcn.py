@@ -7,7 +7,7 @@ from hypothesis.extra.numpy import arrays
 from latentgraph import autodiff as ad
 from latentgraph import gcn
 from latentgraph import graph_learning as gl
-from latentgraph.errors import NumericalError
+from latentgraph.errors import DimensionError, NumericalError
 from latentgraph.training import knn_adjacency
 
 from conftest import zero_fill_backward
@@ -54,12 +54,12 @@ class TestGCLayer:
         a = np.ones((3, 3))
         a[2] = 0.0
         with pytest.raises(NumericalError, match="row 2"):
-            gcn.gc_layer(a, np.ones((3, 2)), np.ones((2, 2)))
+            gc_layer(a, np.ones((3, 2)), np.ones((2, 2)))
 
     def test_row_stochastic_preserves_constants(self):
         a = RNG.uniform(0.1, 1.0, size=(5, 5))
         h = np.full((5, 5), 3.25)
-        out = gcn.gc_layer(a, h, np.eye(5)).values
+        out = gc_layer(a, h, np.eye(5))
         np.testing.assert_allclose(out, h, atol=1e-9)
 
     def test_normalized_rows_sum_to_one(self):
@@ -69,7 +69,8 @@ class TestGCLayer:
 
 
 def gc_layer(a, h, w):
-    return gcn.gc_layer(a, h, w).values
+    """One graph convolution as ``gcn.forward`` runs it."""
+    return ad.matmul(ad.row_normalize(a), ad.matmul(h, w)).values
 
 
 def init_small_model(n_features=4, n_classes=3, seed=5, n_nodes=10):
@@ -150,7 +151,7 @@ class TestForward:
             logits = gcn.forward(x, params).values
         h = x
         for w in params.gc_weights:
-            h = ad.relu(gcn.gc_layer(a, h, w))
+            h = ad.relu(gc_layer(a, h, w))
         expected = ad.add(ad.matmul(h, params.fc_weight), params.fc_bias).values
         np.testing.assert_allclose(logits, expected, rtol=0.0, atol=1e-12)
 
@@ -159,6 +160,14 @@ class TestForward:
         a = np.abs(RNG.normal(size=(10, 10))) + 0.05
         logits = gcn.forward(x, params, adjacency=a).values
         assert np.all(np.isfinite(logits))
+
+    @pytest.mark.parametrize("shape, message", [
+        ((10, 9), "must be square"), ((10,), "must be square"),
+        ((9, 9), r"\(9, 9\) does not match features \(10, 4\)")])
+    def test_static_adjacency_shape_is_checked(self, shape, message):
+        x, params = init_small_model()
+        with pytest.raises(DimensionError, match=message):
+            gcn.forward(x, params, adjacency=np.ones(shape))
 
 
 class TestConstantInputs:

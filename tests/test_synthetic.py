@@ -148,7 +148,8 @@ class TestRecoverGraph:
 
 class TestRecoveryConfig:
     @pytest.mark.parametrize("fields", [
-        dict(embedding_dim=0), dict(embedding_dim=-2), dict(iterations=-1)])
+        dict(embedding_dim=0), dict(embedding_dim=-2), dict(iterations=-1),
+        dict(seed=-1)])
     def test_invalid_fields_rejected(self, fields):
         with pytest.raises(ContractError):
             syn.RecoveryConfig(**fields)

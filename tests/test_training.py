@@ -47,7 +47,8 @@ class TestTrainConfig:
     @pytest.mark.parametrize("fields", [
         dict(gc_widths=()), dict(gc_widths=(0,)), dict(gc_widths=(8, -1)),
         dict(embed_dim=0), dict(embed_hidden=(16, 0)),
-        dict(epochs=-1), dict(folds=1), dict(lr0=0.001, lr_min=0.01)])
+        dict(epochs=-1), dict(folds=1), dict(lr0=0.001, lr_min=0.01),
+        dict(seed=-1)])
     def test_invalid_fields_rejected(self, fields):
         with pytest.raises(ContractError):
             tr.TrainConfig(**fields)
