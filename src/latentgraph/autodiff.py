@@ -13,13 +13,14 @@ adjoint runs, and the adjoint may overwrite it, so after ``backward`` only
 the leaves and the root hold one. The N x N kernels make their passes over
 row blocks that stay in cache. ``row_normalize`` keeps only the row sums
 of its input, and the matmuls that read the normalized operator multiply
-through the input and those sums, so the operator is never formed. They
-hand it their gradient shares as thin factors, and ``row_normalize``'s
-adjoint forms the one N x N gradient from them, block by block into its
-one buffer. The engine is deliberately small; it supports
-exactly the operations the graph-learning models need, all in double
-precision so that gradients can be validated against central finite
-differences to tight tolerances.
+through the input and those sums, so the operator is never formed. The
+operator takes a gradient only as ``matmul``'s left operand: each such
+matmul hands it its share as thin factors, ``row_normalize``'s adjoint
+forms the one N x N gradient from them in one product, and any other
+consumer of its gradient raises ContractError. The engine is
+deliberately small; it supports exactly the operations the graph-learning
+models need, all in double precision so that gradients can be validated
+against central finite differences to tight tolerances.
 """
 
 from __future__ import annotations
@@ -103,7 +104,8 @@ def no_grad() -> Iterator[None]:
 
 class _RowNormalized(Tensor):
     """P = A / rowsum(A), kept as A and its row sums: ``matmul`` multiplies
-    through them, and reading ``values`` forms P anew each time."""
+    through them, and reading ``values`` forms P anew each time. Its
+    ``grad`` is the list of shares the matmuls that read it hand it."""
 
     __slots__ = ("adjacency", "denom")
 
@@ -197,49 +199,16 @@ def backward(loss: Tensor) -> None:
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
     """Add the contribution ``g`` to ``t.grad``. The first one becomes the
     buffer itself, so an adjoint passes only a ``g`` nothing else holds,
-    and the adjoint that later receives that buffer may overwrite it."""
+    and the adjoint that later receives that buffer may overwrite it. A
+    ``row_normalize`` output takes no dense gradient: only ``matmul``'s
+    left operand hands it shares."""
+    if isinstance(t, _RowNormalized):
+        raise ContractError(
+            "a row_normalize output takes a gradient only as matmul's left operand")
     if t.grad is None:
         t.grad = g
     else:
         t.grad += g
-
-
-class _OperatorGrad:
-    """The gradient of a ``row_normalize`` output P: a dense part (None
-    until one arrives) plus ``left @ right``. Each ``matmul`` P @ y puts in
-    its share g @ y.T as factors; the last column of ``left``, against a row
-    of ones, subtracts the shares' row dots with P, read off P @ y. So no
-    N x N product and no pass over P precede ``row_normalize``'s adjoint."""
-
-    __slots__ = ("dense", "left", "right")
-
-    def __init__(self, dense: np.ndarray | None, n: int):
-        self.dense = dense
-        self.left = np.zeros((n, 1))
-        self.right = np.ones((1, n))
-
-    def __iadd__(self, g: np.ndarray) -> "_OperatorGrad":
-        # a dense contribution, added by _accumulate. The first is copied:
-        # ``add`` checks only ``grad`` itself before handing the same buffer
-        # to its other operand, and this one is written in place.
-        if self.dense is None:
-            self.dense = g.copy()
-        else:
-            self.dense += g
-        return self
-
-
-def _accumulate_factors(t: Tensor, g: np.ndarray, y: np.ndarray,
-                        product: np.ndarray) -> None:
-    """Add the contribution ``g @ y.T`` to the gradient of the
-    ``row_normalize`` output ``t`` as factors; ``product`` is t @ y."""
-    if not isinstance(t.grad, _OperatorGrad):
-        t.grad = _OperatorGrad(t.grad, t.shape[0])
-    grad = t.grad
-    grad.left = np.hstack([g, grad.left])
-    grad.left[:, -1] -= np.einsum("ij,ij->i", g, product)
-    # C order: the adjoint's product of width w + 1 runs about twice as fast
-    grad.right = np.ascontiguousarray(np.vstack([y.T, grad.right]))
 
 
 def _by_row_blocks(kernel: Callable[..., object], *arrays: np.ndarray) -> None:
@@ -428,7 +397,10 @@ def _transposed_matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def matmul(a, b) -> Tensor:
     """a @ b. A row-normalized ``a`` is multiplied through its factors,
-    (A @ b) / rowsum(A), and takes its gradient as factors too."""
+    (A @ b) / rowsum(A). It is the one operand that takes the operator's
+    gradient: its share g @ b.T is kept as (g, b, a @ b) for
+    ``row_normalize``'s adjoint. A row-normalized ``b`` that needs a
+    gradient raises ContractError in the backward pass."""
     a, b = as_tensor(a), as_tensor(b)
     if len(a.shape) != 2 or b.values.ndim != 2 or a.shape[1] != b.shape[0]:
         raise DimensionError(
@@ -442,7 +414,9 @@ def matmul(a, b) -> Tensor:
     def adjoint(g: np.ndarray) -> None:
         if a.requires_grad:
             if operator:
-                _accumulate_factors(a, g, b.values, values)
+                if a.grad is None:
+                    a.grad = []
+                a.grad.append((g, b.values, values))
             else:
                 _accumulate(a, g @ b.values.T)
         if b.requires_grad:
@@ -511,23 +485,6 @@ def pairwise_euclidean(e) -> Tensor:
     return _record(values, "pairwise_euclidean", (e,), adjoint)
 
 
-def _row_normalize_grad_block(out: np.ndarray, adjacency: np.ndarray,
-                              denom: np.ndarray, left: np.ndarray, right: np.ndarray,
-                              dense: bool) -> None:
-    # left @ right is the factors' share of the gradient, already projected
-    # and scaled; A is read only for the row dots of a dense part with P,
-    # rowdot(dP, A) / denom, and ``out`` then holds that part. Without one,
-    # ``out`` is blank and written once.
-    if dense:
-        row_dot = np.einsum("ij,ij->i", out, adjacency)[:, None]
-        row_dot /= denom
-        out -= row_dot
-        out /= denom
-        out += left @ right
-    else:
-        np.matmul(left, right, out=out)
-
-
 def row_normalize(a) -> Tensor:
     """Divide each row by its sum; whenever no error is raised, every row
     of the result sums to 1.
@@ -535,8 +492,10 @@ def row_normalize(a) -> Tensor:
     Only the row sums are computed: the result keeps ``a`` and them, and
     ``matmul`` multiplies through both, so P itself is never stored.
     Reading the result's ``values`` costs one N x N pass and a fresh N x N
-    array each time. Rows must have strictly positive sums; any other row,
-    NaN included, raises a NumericalError naming the offending row.
+    array each time. The result takes a gradient only as ``matmul``'s left
+    operand; any other consumer that would hand it one raises ContractError
+    in the backward pass. Rows must have strictly positive sums; any other
+    row, NaN included, raises a NumericalError naming the offending row.
     """
     a = as_tensor(a)
     if a.values.ndim != 2:
@@ -547,18 +506,18 @@ def row_normalize(a) -> Tensor:
         raise NumericalError(
             f"row_normalize: row {i} has sum {float(denom[i, 0])!r}, not strictly positive")
 
-    def adjoint(g: np.ndarray | _OperatorGrad) -> None:
-        # dS = (dP - rowdot(dP, P)) / denom: the factors' share is one
-        # product of width w + 1 per row block, formed in the dense part's
-        # buffer or a fresh one, the one N x N gradient of the step
-        if not isinstance(g, _OperatorGrad):
-            g = _OperatorGrad(g, a.shape[0])
-        g.left /= denom
-        dense = g.dense is not None
-        out = g.dense if dense else np.empty(a.shape)
-        _by_row_blocks(lambda out, adjacency, denom, left: _row_normalize_grad_block(
-            out, adjacency, denom, left, g.right, dense), out, a.values, denom, g.left)
-        _accumulate(a, out)
+    def adjoint(shares: list[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> None:
+        # dA = (dP - rowdot(dP, P)) / denom with dP = sum_l G_l @ Y_l.T, as
+        # one product of width w + 1: the last column of ``left``, against a
+        # row of ones, subtracts the row dots, read off the products P @ Y_l
+        gs, ys, products = zip(*shares)
+        row_dots = sum(np.einsum("ij,ij->i", g, p) for g, p in zip(gs, products))
+        left = np.hstack([*gs, -row_dots[:, None]])
+        left /= denom
+        # C order: the product runs about twice as fast
+        right = np.ascontiguousarray(
+            np.vstack([*(y.T for y in ys), np.ones((1, a.shape[0]))]))
+        _accumulate(a, left @ right)
 
     return _record(_RowNormalized(a.values, denom), "row_normalize", (a,), adjoint)
 

@@ -29,6 +29,12 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    """Takes flags spelled in full only: with abbreviations, a flag that is
+    removed or renamed would be read as another that shares its prefix."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):
         raise UsageError(message)
 
@@ -113,8 +119,7 @@ def build_parser() -> _Parser:
     p.add_argument("--edge-prob", type=float, default=0.3)
     p.add_argument("--iterations", type=int, default=2000)
 
-    # no abbreviations, so --seed is not read as --seeds
-    p = sub.add_parser("synth-curves", parents=[common], allow_abbrev=False,
+    p = sub.add_parser("synth-curves", parents=[common],
                        help="recovery error over node-count/dimension grids")
     p.add_argument("--nodes", type=_list_of(int, "integers"), default=[5, 10, 20])
     p.add_argument("--dims", type=_list_of(int, "integers"), default=[2, 8, 16])

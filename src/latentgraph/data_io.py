@@ -57,7 +57,7 @@ def load_csv(path, id_col: str, label_col: Optional[str] = None,
     """
     path = Path(path)
     try:
-        handle = path.open(newline="")
+        handle = path.open(newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     with handle:

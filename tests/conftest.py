@@ -8,11 +8,12 @@ from latentgraph.data_io import TabularDataset
 
 
 def zero_fill_backward(loss):
-    """Reference sweep: a zeroed gradient for every tape node up front,
-    each adjoint adds into it, and every buffer is kept."""
+    """Reference sweep: a zeroed gradient for every tape node up front (an
+    empty list of shares for a ``row_normalize`` output), each adjoint adds
+    into it, and every buffer is kept."""
     tape = ad.build_tape(loss)
     for t in tape:
-        t.grad = np.zeros(t.shape)
+        t.grad = [] if isinstance(t, ad._RowNormalized) else np.zeros(t.shape)
     loss.grad = np.ones(())
     for t in reversed(tape):
         if t._adjoint is not None:

@@ -26,6 +26,13 @@ def plain_sigmoid(x):
     return ad.sigmoid(x, -1.0, 0.0)  # 1 / (1 + exp(-x)), bit for bit
 
 
+def graph_conv(a):
+    """The row-normalized sigmoid of ``a``, read as the GCN reads its graph
+    operator: as the left operand of a matmul, here by a fixed square one."""
+    y = np.random.default_rng(0).normal(size=a.shape)
+    return ad.matmul(ad.row_normalize(plain_sigmoid(a)), y)
+
+
 def matmul_oracle(a, b):
     """Brute-force triple loop."""
     m, k = a.shape
@@ -337,7 +344,7 @@ class TestRowBlocks:
     @pytest.mark.parametrize("op, shape", [
         (ad.pairwise_euclidean, (N, 4)),
         (plain_sigmoid, (N, N)),
-        (lambda a: ad.row_normalize(plain_sigmoid(a)), (N, N)),
+        (graph_conv, (N, N)),
     ], ids=["pairwise_euclidean", "sigmoid", "row_normalize"])
     def test_forward_and_adjoint_equal_one_block(self, op, shape, monkeypatch):
         values = [RNG.uniform(-2.0, 2.0, size=shape)]
@@ -475,7 +482,8 @@ class TestPrunedGraphOperator:
         theta = ad.parameter(np.asarray(t_theta / 2.0))
         p = ad.row_normalize(ad.sigmoid(ad.pairwise_euclidean(e), t, theta))
         assert np.max(np.abs(p.values.sum(axis=1) - 1.0)) <= 1e-12
-        ad.backward(ad.sum_all(ad.mul(p, rng.normal(size=(50, 50)))))
+        y = rng.normal(size=(50, 50))
+        ad.backward(ad.sum_all(ad.mul(ad.matmul(p, y), rng.normal(size=(50, 50)))))
         for param in (e, t, theta):
             assert np.all(np.isfinite(param.grad))
 
@@ -483,80 +491,67 @@ class TestPrunedGraphOperator:
 class TestFactoredOperatorGradient:
     """The ``matmul``s that read a row-normalized operator P hand it their
     gradient shares G @ Y.T as factors; ``row_normalize``'s adjoint must
-    give what the dense dP and the row-normalize adjoint give."""
+    give what the dense dP and the row-normalize adjoint give. Any other
+    consumer of P's gradient is rejected."""
 
     N = 9
 
-    def loss(self, a, consumers, dense):
-        """sum_l sum((P @ y_l) * w_l), plus sum(P) before ("first") or after
-        ("last") the products when ``dense`` says so; returns it and P."""
+    def loss(self, a, consumers):
+        """sum_l sum((P @ y_l) * w_l); returns it and P."""
         p = ad.row_normalize(a)
         terms = [ad.sum_all(ad.mul(ad.matmul(p, y), w)) for y, w in consumers]
-        if dense == "first":
-            terms.insert(0, ad.sum_all(p))
-        elif dense == "last":
-            terms.append(ad.sum_all(p))
         loss = terms[0]
         for term in terms[1:]:
             loss = ad.add(loss, term)
         return loss, p
 
     @staticmethod
-    def dense_reference(a, consumers, dense_grad=0.0):
-        # dP = sum_l G_l @ Y_l.T with G_l = w_l, plus the dense part;
+    def dense_reference(a, consumers):
+        # dP = sum_l G_l @ Y_l.T with G_l = w_l;
         # then dS = (dP - rowdot(dP, P)) / rowsum(A)
         sums = a.sum(axis=1, keepdims=True)
-        dp = sum(w @ y.T for y, w in consumers) + dense_grad
+        dp = sum(w @ y.T for y, w in consumers)
         return (dp - (dp * (a / sums)).sum(axis=1, keepdims=True)) / sums
 
-    @pytest.mark.parametrize("rows_per_block", [None, 1, 4],
-                             ids=["one_block", "one_row_blocks", "four_row_blocks"])
-    @pytest.mark.parametrize("n_consumers, dense", [
-        (1, None), (2, None), (2, "first"), (2, "last")],
-        ids=["one_consumer", "two_consumers", "mixed_dense_first", "mixed_dense_last"])
-    def test_matches_the_dense_reference(self, n_consumers, dense, rows_per_block,
-                                         monkeypatch, forbid_forming_the_operator):
-        if rows_per_block is not None:
-            monkeypatch.setattr(ad, "BLOCK_BYTES", 8 * self.N * rows_per_block)
+    @pytest.mark.parametrize("n_consumers", [1, 2], ids=["one_consumer", "two_consumers"])
+    def test_matches_the_dense_reference(self, n_consumers, forbid_forming_the_operator):
         values = RNG.uniform(0.5, 1.5, size=(self.N, self.N))
         consumers = [(RNG.normal(size=(self.N, 2)), RNG.normal(size=(self.N, 2)))
                      for _ in range(n_consumers)]
         a = ad.parameter(values.copy())
-        if dense is None:
-            # the matmuls multiply through A and its row sums
-            forbid_forming_the_operator()
-        loss, p = self.loss(a, consumers, dense)
-        # the adjoint never forms P, also beside a dense part
+        # the matmuls multiply through A and its row sums, and the adjoint
+        # never forms P
         forbid_forming_the_operator()
+        loss, p = self.loss(a, consumers)
         ad.backward(loss)
-        want = self.dense_reference(values, consumers, 0.0 if dense is None else 1.0)
+        want = self.dense_reference(values, consumers)
         assert np.max(np.abs(a.grad - want)) <= 1e-12 * np.max(np.abs(want))
 
-    @pytest.mark.parametrize("b_first", [True, False])
-    def test_add_hands_the_operator_and_its_other_operand_separate_buffers(self, b_first):
-        # add hands the same g to both operands. When P already holds
-        # factors and b has no gradient yet, the dense part P keeps must not
-        # be the buffer b takes, which b's later contribution is added into
-        # and P's adjoint writes in place
+    @pytest.mark.parametrize("consumer_first", [True, False],
+                             ids=["consumer_first", "consumer_last"])
+    @pytest.mark.parametrize("consumer", [
+        lambda p: p,
+        lambda p: ad.mul(p, RNG.normal(size=p.shape)),
+        lambda p: ad.add(p, ad.parameter(RNG.normal(size=p.shape))),
+        lambda p: ad.matmul(ad.parameter(RNG.normal(size=(2, p.shape[0]))), p),
+    ], ids=["sum_all", "mul", "add", "matmul_right_operand"])
+    def test_any_other_consumer_is_rejected(self, consumer, consumer_first):
+        # P's gradient arrives only as matmul shares; a dense term, before
+        # or after the matmul's in the backward pass, must not be dropped
+        # or mixed in wrong
         a = ad.parameter(RNG.uniform(0.5, 1.5, size=(self.N, self.N)))
-        b = ad.parameter(RNG.normal(size=(self.N, self.N)))
-        y, w, w_sum, w_b = (RNG.normal(size=s) for s in
-                            [(self.N, 2), (self.N, 2), (self.N, self.N), (self.N, self.N)])
         p = ad.row_normalize(a)
-        product = ad.sum_all(ad.mul(ad.matmul(p, y), w))
-        shared = ad.sum_all(ad.mul(ad.add(p, b), w_sum))
-        b_alone = ad.sum_all(ad.mul(b, w_b))
-        terms = [b_alone, product, shared] if b_first else [product, shared, b_alone]
-        ad.backward(ad.add(ad.add(terms[0], terms[1]), terms[2]))
-        want = self.dense_reference(a.values, [(y, w)], w_sum)
-        np.testing.assert_allclose(a.grad, want, rtol=1e-12, atol=1e-14)
-        np.testing.assert_allclose(b.grad, w_sum + w_b, rtol=1e-12, atol=1e-14)
+        product = ad.sum_all(ad.matmul(p, RNG.normal(size=(self.N, 2))))
+        other = ad.sum_all(consumer(p))
+        loss = ad.add(other, product) if consumer_first else ad.add(product, other)
+        with pytest.raises(ContractError, match="only as matmul's left operand"):
+            ad.backward(loss)
 
     def test_consumers_get_their_dense_gradients(self):
         a = ad.parameter(RNG.uniform(0.5, 1.5, size=(self.N, self.N)))
         ys = [ad.parameter(RNG.normal(size=(self.N, 2))) for _ in range(2)]
         ws = [RNG.normal(size=(self.N, 2)) for _ in range(2)]
-        loss, p = self.loss(a, list(zip(ys, ws)), None)
+        loss, p = self.loss(a, list(zip(ys, ws)))
         ad.backward(loss)
         for y, w in zip(ys, ws):
             assert isinstance(y.grad, np.ndarray)
@@ -582,13 +577,13 @@ class TestGradientBuffers:
             "mul_scalar_right", "mul_self"])
     def test_gradients_are_owned_and_match_zero_fill(self, op, shapes, expected,
                                                       monkeypatch):
-        # the op feeds the blocked sigmoid and row_normalize kernels, one
-        # row per block
+        # the op feeds the blocked sigmoid kernel, one row per block, and
+        # the graph operator
         monkeypatch.setattr(ad, "BLOCK_BYTES", 8 * self.N)
         values = [RNG.uniform(-1.0, 1.0, size=s) for s in shapes]
         weight = RNG.normal(size=(self.N, self.N))
         params = [ad.parameter(v.copy()) for v in values]
-        loss = ad.sum_all(ad.mul(ad.row_normalize(plain_sigmoid(op(*params))), weight))
+        loss = ad.sum_all(ad.mul(graph_conv(op(*params)), weight))
         zero_fill_backward(loss)
         reference = [p.grad.copy() for p in params]
         ad.backward(loss)
@@ -726,12 +721,9 @@ class TestPlumbingOps:
         assert np.array_equal(ad.tanh(np.asarray([0.5])).values, np.tanh([0.5]))
 
 
-def skew_factors(g):
-    """The factors of an operator gradient made 1% too large; a dense
-    gradient is passed on as it is."""
-    if isinstance(g, ad._OperatorGrad):
-        g.left *= 1.01
-    return g
+def skew_factors(shares):
+    """The shares of an operator gradient made 1% too large."""
+    return [(1.01 * g, y, product) for g, y, product in shares]
 
 
 class TestGradientCorrectness:
@@ -744,9 +736,9 @@ class TestGradientCorrectness:
         # built on a sigmoid, both row_normalize checks see its skew
         ("sigmoid", lambda g: 1.01 * g,
          ["sigmoid", "row_normalize", "row_normalize_operator"], ["matmul"]),
-        # only the operator path hands row_normalize factors
+        # both row_normalize checks hand it their shares through matmuls
         ("row_normalize", skew_factors,
-         ["row_normalize_operator"], ["row_normalize", "sigmoid", "matmul"]),
+         ["row_normalize", "row_normalize_operator"], ["sigmoid", "matmul"]),
     ], ids=["sigmoid", "row_normalize_factors"])
     def test_wrong_adjoint_is_reported(self, op, skew, reported, unaffected,
                                        monkeypatch):

@@ -1,6 +1,9 @@
 import csv
 import dataclasses
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -55,6 +58,32 @@ class TestUsage:
                         "--out-dir", str(tmp_path / "o")])
         assert code == 2
         assert "'dx' is the id or label column" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--epoch", "5"],
+        ["cross-validate", "--with-base"],
+        ["synth-recover", "--iter", "5"],
+    ], ids=["train", "cross-validate", "synth-recover"])
+    def test_abbreviated_flag_is_usage_error(self, argv, data_csv, tmp_path, capsys):
+        # read as a prefix, a flag that is later renamed or removed would
+        # silently set whichever flag it now abbreviates
+        abbreviation = argv[1]
+        if argv[0] != "synth-recover":
+            argv = [*argv, "--data", str(data_csv), "--label-col", "dx", "--epochs", "2"]
+        assert cli.run([*argv, "--out-dir", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: unrecognized arguments: {abbreviation}")
+
+    def test_readme_command_lines_parse(self):
+        # every documented command line, as the README spells it
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        blocks = re.findall(r"^```[^\n]*\n(.*?)^```", readme, re.MULTILINE | re.DOTALL)
+        lines = [shlex.split(line) for block in blocks for line in block.splitlines()
+                 if line.startswith("latentgraph ")]
+        assert len(lines) >= 8
+        parser = cli.build_parser()
+        for line in lines:
+            parser.parse_args(line[1:])
 
     @pytest.mark.parametrize("argv", [
         ["train", "--gc-widths", ""],

@@ -107,6 +107,16 @@ class TestLoadCsv:
         with pytest.raises(ParseError, match="'a' is named twice in the header"):
             data_io.load_csv(path, "id", "dx", feature_cols=features)
 
+    def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path):
+        # Excel's "CSV UTF-8" export starts the file with a UTF-8 BOM
+        text = "id,dx,f1\np1,a,1.5\np2,b,-2.0\n"
+        plain = data_io.load_csv(write(tmp_path, text), "id", "dx")
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        ds = data_io.load_csv(path, "id", "dx")
+        assert ds.node_ids == plain.node_ids == ["p1", "p2"]
+        assert np.array_equal(ds.X, plain.X) and np.array_equal(ds.y, plain.y)
+
     def test_unlabeled_schema(self, tmp_path):
         path = write(tmp_path, "id,f1\np1,1\np2,2\n")
         ds = data_io.load_csv(path, "id")

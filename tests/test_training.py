@@ -344,7 +344,7 @@ class TestTrain:
     def test_backward_forms_no_nxn_temporary(self, monkeypatch):
         # the GC layers multiply through the adjacency and its row sums and
         # hand the operator's gradient over as factors, and row_normalize
-        # forms the one N x N gradient from them in row blocks, so the peak
+        # forms the one N x N gradient from them in one product, so the peak
         # is the two stored N x N links of the learned-graph chain
         # (distances, sigmoid), one gradient and blocks
         buffers = traced_step_buffers(monkeypatch)
