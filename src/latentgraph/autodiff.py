@@ -211,17 +211,13 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
         t.grad += g
 
 
-def _by_row_blocks(kernel: Callable[..., object], *arrays: np.ndarray) -> None:
-    """Run ``kernel`` on matching row blocks of ``arrays``, in row order,
-    each block of the first array about ``BLOCK_BYTES``; an array that fits
-    in one block is passed whole."""
-    first = arrays[0]
-    if first.nbytes <= BLOCK_BYTES:
-        kernel(*arrays)
-        return
-    step = max(1, BLOCK_BYTES // first[0].nbytes)
-    for i in range(0, first.shape[0], step):
-        kernel(*[x[i:i + step] for x in arrays])
+def _row_blocks(a: np.ndarray) -> list:
+    """Index of each row block of ``a``, about ``BLOCK_BYTES`` each, in row
+    order; ``[...]`` when ``a`` fits in one block, as a 0-d array always does."""
+    if a.nbytes <= BLOCK_BYTES:
+        return [...]
+    step = max(1, BLOCK_BYTES // a[0].nbytes)
+    return [slice(i, i + step) for i in range(0, a.shape[0], step)]
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -297,32 +293,6 @@ def relu(a) -> Tensor:
     return _record(values, "relu", (a,), adjoint)
 
 
-def _sigmoid_block(x: np.ndarray, out: np.ndarray, t, theta) -> None:
-    # t * (x - theta) has the same bits as -(t * (theta - x)), and at
-    # t = -1, theta = 0 the same bits as -x
-    np.subtract(x, theta, out=out)
-    out *= t
-    np.exp(out, out=out)
-    out += 1.0
-    np.reciprocal(out, out=out)
-
-
-def _sigmoid_grad_block(g: np.ndarray, s: np.ndarray, x: np.ndarray, t, theta,
-                        sums: np.ndarray | None) -> None:
-    d = np.subtract(1.0, s)
-    d *= s
-    g *= d
-    # t's gradient reads g before it is scaled, theta's after; d is reused
-    # for theta - x. Scaling by -t gives x's gradient in one pass and the
-    # same bits as scaling by t and negating.
-    if sums is not None:
-        np.subtract(theta, x, out=d)
-        sums[0] += np.vdot(g, d)
-    g *= -t
-    if sums is not None:
-        sums[1] -= g.sum()
-
-
 def sigmoid(a, temperature, threshold) -> Tensor:
     """Elementwise sigmoid(temperature * (threshold - a)) for two 0-d
     tensors: the edge weights of a learned graph in one op, so neither the
@@ -338,21 +308,42 @@ def sigmoid(a, temperature, threshold) -> Tensor:
     # 1 / (1 + exp(-z)) in one buffer. exp overflows for z < -709.78 (result
     # 0, where the exact value is subnormal) and underflows for large z
     # (result 1); both saturations are benign, so their flags are silenced.
-    values = np.empty_like(a.values)
+    # t * (x - theta) has the same bits as -(t * (theta - x)), and at
+    # t = -1, theta = 0 the same bits as -x.
+    x = a.values
+    values = np.empty_like(x)
     with np.errstate(over="ignore", under="ignore"):
-        _by_row_blocks(lambda x, out: _sigmoid_block(
-            x, out, t.values, theta.values), a.values, values)
+        for rows in _row_blocks(x):
+            out = values[rows]
+            np.subtract(x[rows], theta.values, out=out)
+            out *= t.values
+            np.exp(out, out=out)
+            out += 1.0
+            np.reciprocal(out, out=out)
 
     def adjoint(g: np.ndarray) -> None:
         g = np.asarray(g)  # the g of a 0-d output may be a numpy scalar
-        # one 2-vector collects the sums of every block, in row order
-        sums = np.zeros(2) if t.requires_grad or theta.requires_grad else None
-        _by_row_blocks(lambda g, s, x: _sigmoid_grad_block(
-            g, s, x, t.values, theta.values, sums), g, values, a.values)
+        scalars = t.requires_grad or theta.requires_grad
+        dt = dtheta = 0.0
+        for rows in _row_blocks(g):
+            gb, s = g[rows], values[rows]
+            d = np.subtract(1.0, s)
+            d *= s
+            gb *= d
+            # t's gradient reads g before it is scaled, theta's after; d is
+            # reused for theta - x. Scaling by -t gives x's gradient in one
+            # pass and the same bits as scaling by t and negating.
+            if scalars:
+                np.subtract(theta.values, x[rows], out=d)
+                dt += np.vdot(gb, d)
+            gb *= -t.values
+            if scalars:
+                dtheta -= gb.sum()
+            del d  # freed before the next block's: two alive ran ~10% slower
         if t.requires_grad:
-            _accumulate(t, sums[0])
+            _accumulate(t, dt)
         if theta.requires_grad:
-            _accumulate(theta, sums[1])
+            _accumulate(theta, dtheta)
         if a.requires_grad:
             _accumulate(a, g)
 
@@ -425,25 +416,6 @@ def matmul(a, b) -> Tensor:
     return _record(values, "matmul", (a, b), adjoint)
 
 
-def _distance_block(gram: np.ndarray, row_norms: np.ndarray,
-                    sq_norms: np.ndarray) -> None:
-    # -2 g_ij + (n_i + n_j) has the same bits as (n_i + n_j) - 2 g_ij
-    gram *= -2.0
-    gram += row_norms[:, None] + sq_norms[None, :]
-    np.maximum(gram, 0.0, out=gram)
-    np.sqrt(gram, out=gram)
-
-
-def _distance_grad_block(g: np.ndarray, values: np.ndarray, row_sums: np.ndarray,
-                         col_sums: np.ndarray) -> None:
-    w = np.multiply(values, values)
-    w += DISTANCE_EPS
-    np.sqrt(w, out=w)
-    g /= w
-    g.sum(axis=1, out=row_sums)
-    col_sums += g.sum(axis=0)
-
-
 def pairwise_euclidean(e) -> Tensor:
     """All-pairs Euclidean distances between the rows of ``e``.
 
@@ -459,10 +431,15 @@ def pairwise_euclidean(e) -> Tensor:
     # n_i + n_j == n_j + n_i, so no transposed pass is needed.
     v = np.ascontiguousarray(e.values)
     sq_norms = (v * v).sum(axis=1)
-    # the distances are computed inside the Gram buffer
+    # the distances are computed inside the Gram buffer; -2 g_ij + (n_i + n_j)
+    # has the same bits as (n_i + n_j) - 2 g_ij
     values = v @ v.T
-    _by_row_blocks(lambda gram, row_norms: _distance_block(gram, row_norms, sq_norms),
-                   values, sq_norms)
+    for rows in _row_blocks(values):
+        gram = values[rows]
+        gram *= -2.0
+        gram += sq_norms[rows, None] + sq_norms[None, :]
+        np.maximum(gram, 0.0, out=gram)
+        np.sqrt(gram, out=gram)
     np.fill_diagonal(values, 0.0)
 
     def adjoint(g: np.ndarray) -> None:
@@ -474,9 +451,15 @@ def pairwise_euclidean(e) -> Tensor:
         row_sums, col_sums = np.empty(g.shape[0]), np.zeros(g.shape[0])
         # every block adds into one col_sums vector, so the extra memory
         # stays O(N) however many blocks there are
-        _by_row_blocks(lambda g, values, row_sums:
-                       _distance_grad_block(g, values, row_sums, col_sums),
-                       g, values, row_sums)
+        for rows in _row_blocks(g):
+            gb, d = g[rows], values[rows]
+            w = np.multiply(d, d)
+            w += DISTANCE_EPS
+            np.sqrt(w, out=w)
+            gb /= w
+            gb.sum(axis=1, out=row_sums[rows])
+            col_sums += gb.sum(axis=0)
+            del w  # freed before the next block's, as in sigmoid
         # d_ij depends on rows i and j alike: pull w and w.T through
         # without forming w + w.T
         degree = row_sums + col_sums

@@ -208,8 +208,11 @@ def _cmd_cross_validate(args, out_dir: Path) -> int:
 
 def _cmd_infer(args, out_dir: Path) -> int:
     dataset = _read_dataset(args)
+    # a test row's missing cells take the training rows' column means, so
+    # they do not depend on the other rows of the test file
     test_set = data_io.load_csv(args.test_data, args.id_col,
-                                feature_cols=dataset.feature_names)
+                                feature_cols=dataset.feature_names,
+                                column_means=dataset.X.mean(axis=0))
     test_X = test_set.X
     if not args.no_standardize:
         # moments of the training rows only: the trained model must not

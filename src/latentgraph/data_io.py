@@ -39,7 +39,8 @@ def _is_missing(cell: str) -> bool:
 
 def load_csv(path, id_col: str, label_col: Optional[str] = None,
              feature_cols: Union[Sequence[str], str] = "rest",
-             quantize_edges: Optional[Sequence[float]] = None) -> TabularDataset:
+             quantize_edges: Optional[Sequence[float]] = None,
+             column_means: Optional[np.ndarray] = None) -> TabularDataset:
     """Parse a headers-first CSV into a TabularDataset.
 
     ``feature_cols`` may be an explicit list or "rest", meaning every
@@ -47,7 +48,8 @@ def load_csv(path, id_col: str, label_col: Optional[str] = None,
     None for unlabeled files (inductive test sets). Empty, na, null, none
     and NaN cells (nan, +nan, -nan, any case) are missing: rows with a
     missing label are dropped (with a logged count), and missing feature
-    cells take the column mean of the present values. Label values are
+    cells take the column mean of the present values, or the entry of
+    ``column_means`` for their column when it is given. Label values are
     mapped to dense integers in [0, C) sorted by value (numerically when
     every label parses as a number); when ``quantize_edges`` is given,
     labels are parsed as floats and binned first. Malformed or infinite
@@ -67,7 +69,9 @@ def load_csv(path, id_col: str, label_col: Optional[str] = None,
         except StopIteration:
             raise ParseError(f"{path}: file is empty") from None
         header = [h.strip() for h in header]
-        rows = [row for row in reader if any(cell.strip() for cell in row)]
+        # numbered as they are read, so blank lines count
+        rows = [(reader.line_num, row) for row in reader
+                if any(cell.strip() for cell in row)]
 
     index = {name: i for i, name in enumerate(header)}
     if len(index) < len(header):
@@ -101,7 +105,7 @@ def load_csv(path, id_col: str, label_col: Optional[str] = None,
     raw_labels: list[str] = []
     cells: list[list[float]] = []
     dropped = 0
-    for line_no, row in enumerate(rows, start=2):
+    for line_no, row in rows:
         if len(row) != len(header):
             raise ParseError(
                 f"{path} line {line_no}: expected {len(header)} cells, got {len(row)}")
@@ -131,6 +135,8 @@ def load_csv(path, id_col: str, label_col: Optional[str] = None,
         logger.warning("%s: dropped %d rows with missing label", path, dropped)
 
     x = np.array(cells, dtype=np.float64).reshape(len(cells), len(feature_names))
+    if column_means is not None:
+        x = np.where(np.isnan(x), column_means, x)
     for j in range(x.shape[1]):
         missing = np.isnan(x[:, j])
         if not missing.any():
@@ -154,7 +160,8 @@ def load_csv(path, id_col: str, label_col: Optional[str] = None,
                              f"requested: {exc}") from None
         y = quantize_labels(label_values, quantize_edges)
         edges = list(quantize_edges)
-        class_names = [f"[{edges[b]}, {edges[b + 1]})" for b in range(len(edges) - 1)]
+        class_names = [f"[{lo}, {hi})" for lo, hi in zip(edges, edges[1:])]
+        class_names[-1] = f"[{edges[-2]}, {edges[-1]}]"  # holds its right edge
     else:
         try:
             numeric = [float(v) for v in raw_labels]

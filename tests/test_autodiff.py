@@ -329,28 +329,33 @@ class TestRowBlocks:
 
     def test_blocks_cover_every_row_once_in_order(self, one_row_blocks):
         a, b = RNG.normal(size=(self.N, self.N)), RNG.normal(size=(self.N, 2))
-        seen = []
-        ad._by_row_blocks(lambda x, y: seen.append((x.copy(), y.copy())), a, b)
-        assert len(seen) == self.N
-        assert np.array_equal(np.vstack([x for x, _ in seen]), a)
-        assert np.array_equal(np.vstack([y for _, y in seen]), b)
+        blocks = ad._row_blocks(a)
+        assert len(blocks) == self.N
+        assert np.array_equal(np.vstack([a[rows] for rows in blocks]), a)
+        assert np.array_equal(np.vstack([b[rows] for rows in blocks]), b)
 
     def test_array_of_one_block_is_passed_whole(self):
-        a = RNG.normal(size=(self.N, self.N))
-        seen = []
-        ad._by_row_blocks(lambda x: seen.append(x), a)
-        assert len(seen) == 1 and seen[0] is a
+        for a in (RNG.normal(size=(self.N, self.N)), np.asarray(1.5)):
+            assert ad._row_blocks(a) == [...]
 
-    @pytest.mark.parametrize("op, shape", [
-        (ad.pairwise_euclidean, (N, 4)),
-        (plain_sigmoid, (N, N)),
-        (graph_conv, (N, N)),
-    ], ids=["pairwise_euclidean", "sigmoid", "row_normalize"])
-    def test_forward_and_adjoint_equal_one_block(self, op, shape, monkeypatch):
+    # Four rows per block leave N = 9 a last block of one. The distance
+    # adjoint adds its column sums block by block, so its gradient has the
+    # one-block bits only in one-row blocks; in blocks of three it is
+    # checked by test_adjoints_match_closed_forms_in_multi_row_blocks.
+    @pytest.mark.parametrize("op, shape, rows_per_block", [
+        (ad.pairwise_euclidean, (N, 4), 1),
+        (plain_sigmoid, (N, N), 1),
+        (graph_conv, (N, N), 1),
+        (plain_sigmoid, (N, N), 4),
+        (graph_conv, (N, N), 4),
+    ], ids=["pairwise_euclidean", "sigmoid", "row_normalize",
+            "sigmoid-four_row_blocks", "row_normalize-four_row_blocks"])
+    def test_forward_and_adjoint_equal_one_block(self, op, shape, rows_per_block,
+                                                 monkeypatch):
         values = [RNG.uniform(-2.0, 2.0, size=shape)]
         weight = RNG.normal(size=(self.N, self.N))
         whole, whole_grads = forward_and_gradients(op, values, weight)
-        monkeypatch.setattr(ad, "BLOCK_BYTES", 8 * self.N)
+        monkeypatch.setattr(ad, "BLOCK_BYTES", 8 * self.N * rows_per_block)
         blocked, blocked_grads = forward_and_gradients(op, values, weight)
         assert np.array_equal(blocked, whole)
         for got, want in zip(blocked_grads, whole_grads):

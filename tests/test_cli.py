@@ -315,7 +315,8 @@ class TestTrainInferExport:
         assert losses[0] == losses[1]
 
     def test_infer_quantized_labels_quote_the_class(self, tmp_path):
-        # every bin name "[a, b)" holds a comma, so it must be quoted
+        # every bin name "[a, b)" or, for the top bin, "[a, b]" holds a
+        # comma, so it must be quoted
         blobs = make_blobs(n_per_class=8, n_classes=4, seed=3)
         blobs.class_names = ["55", "65", "75", "85"]
         data_csv, test_csv = tmp_path / "ages.csv", tmp_path / "test.csv"
@@ -334,8 +335,34 @@ class TestTrainInferExport:
         edges = [50.0, 60.0, 70.0, 80.0, 90.0]
         for node_id, label, name in rows:
             b = int(label)
-            assert name == f"[{edges[b]}, {edges[b + 1]})"
+            assert name == f"[{edges[b]}, {edges[b + 1]}" + ("]" if b == 3 else ")")
             assert f'{node_id},{label},"{name}"\n' in text
+
+    @pytest.mark.parametrize("flags", [[], ["--no-standardize"]],
+                             ids=["standardized", "raw"])
+    def test_infer_prediction_does_not_depend_on_other_test_rows(self, tmp_path, flags):
+        # q0 misses f1: it must be filled from the training rows, not from
+        # the test file, where f1 is absent alone and 110 beside q1 and q2
+        rng = np.random.default_rng(0)
+        data_csv = tmp_path / "train.csv"
+        lines = ["id,dx,f1,f2"]
+        for i in range(40):
+            label = int(i >= 30)
+            lines.append(f"p{i},{label},{rng.normal(100.0 if label else 10.0)!r},"
+                         f"{rng.normal()!r}")
+        data_csv.write_text("\n".join(lines) + "\n")
+        predicted = []
+        for k, others in enumerate(["", "q1,110,0.1\nq2,110,0.2\n"]):
+            test_csv = tmp_path / f"test{k}.csv"
+            test_csv.write_text("id,f1,f2\nq0,,0.1\n" + others)
+            out = tmp_path / f"o{k}"
+            code = cli.run(["infer", "--data", str(data_csv), "--label-col", "dx",
+                            "--test-data", str(test_csv), "--out-dir", str(out),
+                            "--epochs", "30", *flags])
+            assert code == 0
+            rows = list(csv.reader((out / "predictions.csv").read_text().splitlines()))
+            predicted.append(rows[1])
+        assert predicted[0] == predicted[1]
 
     def test_export_graph_records_no_tape(self, data_csv, tmp_path, monkeypatch):
         soft_adjacency = cli.soft_adjacency

@@ -46,6 +46,14 @@ class TestLoadCsv:
         with pytest.raises(ParseError, match="line 3.*'f1'"):
             data_io.load_csv(path, "id", "dx")
 
+    @pytest.mark.parametrize("row, message", [
+        ("b,1,x", "line 4, column 'f1': non-numeric value 'x'"),
+        ("b,1", "line 4: expected 3 cells, got 2")], ids=["non_numeric_cell", "cell_count"])
+    def test_error_line_counts_blank_lines(self, tmp_path, row, message):
+        path = write(tmp_path, f"id,dx,f1\na,0,1\n\n{row}\n")
+        with pytest.raises(ParseError, match=message):
+            data_io.load_csv(path, "id", "dx")
+
     @pytest.mark.parametrize("cell", ["inf", "-Infinity", "1e999"])
     def test_infinite_cell_reports_coordinates(self, tmp_path, cell):
         path = write(tmp_path, f"id,dx,f1\np1,a,1\np2,b,{cell}\n")
@@ -127,6 +135,7 @@ class TestLoadCsv:
         ds = data_io.load_csv(path, "id", "age",
                               quantize_edges=[50, 60, 70, 80, 90])
         assert np.array_equal(ds.y, [0, 1, 3])
+        assert ds.class_names == ["[50, 60)", "[60, 70)", "[70, 80)", "[80, 90]"]
 
     def test_round_trip_bit_identical(self, tmp_path):
         x = RNG.normal(size=(4, 3))
