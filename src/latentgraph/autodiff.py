@@ -327,7 +327,8 @@ def sigmoid(a, temperature, threshold) -> Tensor:
         dt = dtheta = 0.0
         for rows in _row_blocks(g):
             gb, s = g[rows], values[rows]
-            d = np.subtract(1.0, s)
+            # an array even for a 0-d s, so the out= write below can reuse it
+            d = np.subtract(1.0, s, out=np.empty_like(s))
             d *= s
             gb *= d
             # t's gradient reads g before it is scaled, theta's after; d is

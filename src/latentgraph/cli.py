@@ -3,10 +3,9 @@ graph-recovery experiments.
 
 Exit codes: 0 on success, 1 on usage errors (a negative ``--seed`` among
 them), 2 on runtime or numerical errors. All outputs land under
-``--out-dir``; every command but ``gradcheck`` also writes ``run.json``
-there, holding the command name, the seed (``synth-curves`` takes none)
-and the command's own fields (e.g. ``epochs`` for ``train``, ``folds``
-for ``cross-validate``), not the full configuration.
+``--out-dir``. Before a command runs, ``run.json`` there records every
+parsed setting but ``--out-dir``, defaults included; a command's other
+files hold only its results.
 """
 
 from __future__ import annotations
@@ -71,7 +70,6 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--epochs", type=int, default=600)
     p.add_argument("--lr", type=float, default=0.01)
     p.add_argument("--lr-min", type=float, default=0.0001)
-    p.add_argument("--folds", type=int, default=10)
     p.add_argument("--embed-hidden", type=_list_of(int, "integers"), default=[64],
                    help="comma-separated hidden widths of the embedding MLP")
     p.add_argument("--embed-dim", type=int, default=16)
@@ -97,6 +95,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("cross-validate", parents=[seeded],
                        help="stratified k-fold CV; prints accuracy and AUC")
     _add_model_flags(p)
+    p.add_argument("--folds", type=int, default=10)
     p.add_argument("--with-baselines", action="store_true",
                    help="also report ridge and static-kNN-graph baselines")
     p.add_argument("--knn-k", type=int, default=10,
@@ -147,16 +146,12 @@ def _load_dataset(args) -> data_io.TabularDataset:
 
 
 def _train_config(args) -> training.TrainConfig:
+    # only cross-validate takes --folds; no other command reads cfg.folds
+    folds = {"folds": args.folds} if "folds" in args else {}
     return training.TrainConfig(
-        epochs=args.epochs, lr0=args.lr, lr_min=args.lr_min,
-        seed=args.seed, folds=args.folds,
+        epochs=args.epochs, lr0=args.lr, lr_min=args.lr_min, seed=args.seed,
         embed_hidden=tuple(args.embed_hidden), embed_dim=args.embed_dim,
-        gc_widths=tuple(args.gc_widths))
-
-
-def _write_run_info(out_dir: Path, args, fields: dict) -> None:
-    common = {k: v for k, v in vars(args).items() if k in ("command", "seed")}
-    data_io.write_metrics_json(out_dir / "run.json", {**common, **fields})
+        gc_widths=tuple(args.gc_widths), **folds)
 
 
 def _cmd_train(args, out_dir: Path) -> int:
@@ -166,11 +161,9 @@ def _cmd_train(args, out_dir: Path) -> int:
     metrics = training.evaluate(params, dataset, np.arange(dataset.n_nodes))
     data_io.write_history_csv(out_dir / "history.csv", history)
     data_io.write_metrics_json(out_dir / "metrics.json", {
-        "seed": cfg.seed, "epochs": cfg.epochs,
         "train_accuracy": metrics.accuracy, "train_auc": metrics.auc,
         "final_loss": history[-1].loss if history else None,
     })
-    _write_run_info(out_dir, args, {"epochs": cfg.epochs})
     print(f"final train accuracy: {metrics.accuracy:.4f}")
     return 0
 
@@ -191,7 +184,7 @@ def _cmd_cross_validate(args, out_dir: Path) -> int:
     cfg = _train_config(args)
     result = training.cross_validate(dataset, cfg)
     print(result.summary())
-    payload = {"seed": cfg.seed, "folds": cfg.folds, "model": _cv_payload(result)}
+    payload = {"model": _cv_payload(result)}
     if args.with_baselines:
         split = training.stratified_kfold(dataset.y, cfg.folds, cfg.seed)
         ridge = training.linear_baseline(dataset, split)
@@ -202,7 +195,6 @@ def _cmd_cross_validate(args, out_dir: Path) -> int:
         payload["ridge_baseline"] = _cv_payload(ridge)
         payload["knn_graph_baseline"] = _cv_payload(knn)
     data_io.write_metrics_json(out_dir / "metrics.json", payload)
-    _write_run_info(out_dir, args, {"folds": cfg.folds})
     return 0
 
 
@@ -226,7 +218,6 @@ def _cmd_infer(args, out_dir: Path) -> int:
     data_io.write_csv(out_path, ["id", "label", "class"],
                       ([node_id, label, dataset.class_names[label]]
                        for node_id, label in zip(test_set.node_ids, preds)))
-    _write_run_info(out_dir, args, {"n_test": len(test_set.node_ids)})
     print(f"wrote {len(test_set.node_ids)} predictions to {out_path}")
     return 0
 
@@ -240,7 +231,6 @@ def _cmd_export_graph(args, out_dir: Path) -> int:
             embed(dataset.X, params.embedder), params.edge).values
     path = out_dir / "adjacency.csv"
     data_io.export_adjacency(adjacency, dataset.node_ids, path)
-    _write_run_info(out_dir, args, {"n_nodes": dataset.n_nodes})
     print(f"wrote learned adjacency to {path}")
     return 0
 
@@ -255,8 +245,7 @@ def _cmd_synth_recover(args, out_dir: Path) -> int:
     data_io.export_adjacency(graph, node_ids, out_dir / "ground_truth.csv")
     data_io.export_adjacency(result.adjacency, node_ids,
                              out_dir / "learned_adjacency.csv")
-    _write_run_info(out_dir, args, {
-        "nodes": args.nodes, "dim": args.dim,
+    data_io.write_metrics_json(out_dir / "metrics.json", {
         "final_mse": result.mse, "edge_agreement": result.agreement})
     print(f"final mse: {result.mse:.6g}  edge agreement: {result.agreement:.4f}")
     return 0
@@ -274,7 +263,6 @@ def _cmd_synth_curves(args, out_dir: Path) -> int:
                         format(c.agreement, ".10g")] for c in cells))
     for (n, dim), (mean, std) in synthetic.summarize_curves(cells).items():
         print(f"nodes={n:4d} dim={dim:4d}  mse {mean:.4e} +- {std:.1e}")
-    _write_run_info(out_dir, args, {"seeds": args.seeds, "cells": len(cells)})
     print(f"wrote {path}")
     return 0
 
@@ -318,6 +306,9 @@ def run(argv: Sequence[str]) -> int:
     out_dir = Path(args.out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
+        # before the command, so a run that fails or is killed keeps its record
+        data_io.write_metrics_json(out_dir / "run.json", {
+            k: v for k, v in vars(args).items() if k != "out_dir"})
         return _COMMANDS[args.command](args, out_dir)
     except (LatentGraphError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -28,7 +28,7 @@ from .errors import ContractError, DimensionError
 # training step holds about 4 of them at its peak (3.1 traced at N=2000: the
 # distances, the edge weights and one gradient; the normalized operator is
 # never stored): ~13 GB at the cap. Each fold worker process holds its own,
-# and the kNN baseline graph of ``--with-baselines`` peaks at 4.25 of them
+# and the kNN baseline graph of ``--with-baselines`` peaks at 1.01 of them
 # (tracemalloc, N=2000). The cap bounds the matrix size only; it does not
 # check available memory.
 MAX_GRAPH_NODES = 20_000

@@ -434,7 +434,7 @@ def ridge_fit(features: np.ndarray, labels: np.ndarray, n_classes: int) -> np.nd
 def linear_baseline(dataset, folds: FoldSplit) -> CVMetrics:
     """Ridge-regression classifier under the same CV protocol."""
     x = np.asarray(dataset.X, dtype=np.float64)
-    y = np.asarray(dataset.y)
+    y = ad._class_labels(dataset.y)
     n_classes = int(y.max()) + 1
     fold_metrics = []
     for tr, te in zip(folds.train_indices, folds.test_indices):
@@ -456,11 +456,13 @@ def knn_adjacency(features: np.ndarray, k_neighbors: int) -> np.ndarray:
         raise ContractError(f"need 0 < k_neighbors < {n}, got {k_neighbors}")
     dists = ad.pairwise_euclidean(features).values
     np.fill_diagonal(dists, np.inf)
-    # every distance below the k-th smallest, then the lowest columns among
-    # those equal to it: a stable sort's first k, without sorting the rows
-    kth = np.partition(dists, k_neighbors - 1, axis=1)[:, k_neighbors - 1:k_neighbors]
-    below = dists < kth
-    ties = dists == kth
-    open_slots = k_neighbors - below.sum(axis=1, keepdims=True)
-    adjacency = (below | (ties & (np.cumsum(ties, axis=1) <= open_slots))).astype(np.float64)
-    return np.maximum(adjacency, adjacency.T)
+    # a stable sort's first k per row, copied out of one row block's sort at
+    # a time; the graph then goes into the distance buffer, so no second
+    # N x N is formed
+    cols = np.concatenate([
+        np.argsort(dists[block], axis=1, kind="stable")[:, :k_neighbors].copy()
+        for block in ad._row_blocks(dists)]).ravel()
+    rows = np.repeat(np.arange(n), k_neighbors)
+    dists.fill(0.0)
+    dists[rows, cols] = dists[cols, rows] = 1.0
+    return dists

@@ -446,6 +446,18 @@ class TestAffineSigmoid:
         for got, want in zip(fused_grads, chain_grads):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
+    def test_0d_input_matches_the_reference_chain(self):
+        # for a 0-d input, np.subtract(1.0, s) returns a numpy scalar, which
+        # the adjoint cannot write theta - x into
+        values = [np.asarray(0.3), np.asarray(1.7), np.asarray(0.5)]
+        weight = np.asarray(-1.3)
+        fused, fused_grads = forward_and_gradients(ad.sigmoid, values, weight)
+        chain, chain_grads = forward_and_gradients(affine_chain, values, weight)
+        assert np.array_equal(fused, chain)
+        assert all(g is not None for g in fused_grads)
+        for got, want in zip(fused_grads, chain_grads):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
     @pytest.mark.parametrize("t_theta", [800.0, -800.0])
     def test_saturated_values_and_gradients_stay_finite(self, t_theta):
         values = self.inputs()

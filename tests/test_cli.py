@@ -42,10 +42,12 @@ class TestUsage:
         assert cli.run(["train"]) == 1
 
     def test_runtime_error_exits_two(self, tmp_path, capsys):
-        code = cli.run(["train", "--data", str(tmp_path / "missing.csv"),
-                        "--label-col", "dx", "--out-dir", str(tmp_path / "o")])
-        assert code == 2
+        argv = ["train", "--data", str(tmp_path / "missing.csv"),
+                "--label-col", "dx", "--out-dir", str(tmp_path / "o")]
+        assert cli.run(argv) == 2
         assert "error" in capsys.readouterr().err
+        # the record is written before the command runs, so a failed run has it
+        assert json.loads((tmp_path / "o" / "run.json").read_text()) == parsed_settings(argv)
 
     def test_label_among_features_exits_two(self, tmp_path, capsys):
         # numeric labels parse as a feature, so nothing else stops the run
@@ -116,13 +118,24 @@ class TestEveryConfigFieldHasAFlag:
 
     def test_train_config(self):
         args = _assert_every_flag_changed(
-            ["train", "--data", "a.csv", "--id-col", "pid", "--label-col", "dx",
+            ["cross-validate", "--data", "a.csv", "--id-col", "pid", "--label-col", "dx",
              "--features", "f1,f2", "--quantize-edges", "1,2", "--no-standardize",
              "--epochs", "7", "--lr", "0.02", "--lr-min", "0.001", "--folds", "3",
              "--embed-hidden", "5", "--embed-dim", "3", "--gc-widths", "4",
-             "--seed", "9", "--out-dir", "o"],
-            ["train", "--data", "b.csv", "--label-col", "y"])
+             "--with-baselines", "--knn-k", "4", "--seed", "9", "--out-dir", "o"],
+            ["cross-validate", "--data", "b.csv", "--label-col", "y"])
         assert _unset_fields(cli._train_config(args)) == []
+
+    @pytest.mark.parametrize("command", ["train", "infer", "export-graph"])
+    def test_folds_is_cross_validate_only(self, command, data_csv, tmp_path, capsys):
+        # no other command reads it, so its run record would list a setting
+        # that did nothing
+        argv = [command, "--data", str(data_csv), "--label-col", "dx", "--folds", "3",
+                "--out-dir", str(tmp_path / "o")]
+        if command == "infer":
+            argv += ["--test-data", str(data_csv)]
+        assert cli.run(argv) == 1
+        assert "unrecognized arguments: --folds 3" in capsys.readouterr().err
 
     def test_recovery_config(self, tmp_path, monkeypatch):
         from latentgraph import synthetic
@@ -142,6 +155,71 @@ class TestEveryConfigFieldHasAFlag:
         assert _unset_fields(seen[0]) == []
 
 
+def quick_argv(command, data_csv, out_dir):
+    """A run of ``command`` that takes well under a second."""
+    model = ["--data", str(data_csv), "--label-col", "dx", *FAST_FLAGS, "--epochs", "2"]
+    flags = {
+        "train": model,
+        "cross-validate": [*model, "--folds", "2", "--with-baselines", "--knn-k", "3"],
+        "infer": [*model, "--test-data", str(data_csv)],
+        "export-graph": model,
+        "synth-recover": ["--nodes", "4", "--iterations", "5"],
+        "synth-curves": ["--nodes", "3", "--dims", "2", "--seeds", "1",
+                         "--iterations", "5"],
+        "gradcheck": [],
+    }[command]
+    return [command, *flags, "--out-dir", str(out_dir)]
+
+
+def parsed_settings(argv) -> dict:
+    """The parsed arguments of ``argv`` but ``out_dir``."""
+    args = vars(cli.build_parser().parse_args(argv))
+    return {k: v for k, v in args.items() if k != "out_dir"}
+
+
+def json_keys(value) -> set:
+    """Every key of every object nested in a parsed JSON value."""
+    if isinstance(value, dict):
+        return set(value).union(*(json_keys(v) for v in value.values()))
+    if isinstance(value, list):
+        return set().union(*(json_keys(v) for v in value))
+    return set()
+
+
+class TestRunRecord:
+    """``run.json`` holds every parsed setting but ``--out-dir``, written
+    before the command runs; ``metrics.json`` holds no setting."""
+
+    COMMANDS = ["train", "cross-validate", "infer", "export-graph",
+                "synth-recover", "synth-curves", "gradcheck"]
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_records_every_setting_before_the_command_runs(self, command, data_csv,
+                                                           tmp_path, monkeypatch):
+        out = tmp_path / "o"
+        argv = quick_argv(command, data_csv, out)
+        records = []
+        run_command = cli._COMMANDS[command]
+
+        def recording_command(args, out_dir):
+            records.append((out_dir / "run.json").read_bytes())
+            return run_command(args, out_dir)
+
+        monkeypatch.setitem(cli._COMMANDS, command, recording_command)
+        assert cli.run(argv) == 0
+        assert records == [(out / "run.json").read_bytes()]
+        assert json.loads(records[0]) == parsed_settings(argv)
+
+    @pytest.mark.parametrize("command", ["train", "cross-validate", "synth-recover"])
+    def test_metrics_hold_no_setting(self, command, data_csv, tmp_path):
+        out = tmp_path / "o"
+        assert cli.run(quick_argv(command, data_csv, out)) == 0
+        flags = set().union(*(parsed_settings(quick_argv(c, data_csv, out))
+                              for c in self.COMMANDS))
+        keys = json_keys(json.loads((out / "metrics.json").read_text()))
+        assert keys and not keys & flags
+
+
 class TestCrossValidate:
     def test_prints_summary_and_writes_metrics(self, data_csv, tmp_path, capsys):
         out = tmp_path / "cv"
@@ -152,7 +230,7 @@ class TestCrossValidate:
         printed = capsys.readouterr().out
         assert "accuracy:" in printed and "auc:" in printed and "±" in printed
         metrics = json.loads((out / "metrics.json").read_text())
-        assert metrics["seed"] == 7
+        assert json.loads((out / "run.json").read_text())["seed"] == 7
         assert len(metrics["model"]["fold_accuracy"]) == 3
 
     def test_with_baselines_reports_ridge_and_knn_graph(self, tmp_path, capsys):
@@ -195,6 +273,8 @@ class TestSynthRecover:
         assert (out / "learned_adjacency.csv").exists()
         run_info = json.loads((out / "run.json").read_text())
         assert run_info["seed"] == 1
+        metrics = json.loads((out / "metrics.json").read_text())
+        assert set(metrics) == {"final_mse", "edge_agreement"}
 
     def test_byte_identical_reruns(self, tmp_path):
         args = ["synth-recover", "--nodes", "5", "--dim", "4",
@@ -202,7 +282,8 @@ class TestSynthRecover:
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
         assert cli.run([*args, "--out-dir", str(out1)]) == 0
         assert cli.run([*args, "--out-dir", str(out2)]) == 0
-        for name in ("ground_truth.csv", "learned_adjacency.csv"):
+        for name in ("ground_truth.csv", "learned_adjacency.csv", "run.json",
+                     "metrics.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
@@ -228,7 +309,8 @@ class TestSeed:
         assert capsys.readouterr().err.startswith("usage error: unrecognized arguments: --seed")
         assert cli.run(argv) == 0
         run_info = json.loads((tmp_path / "run.json").read_text())
-        assert run_info == {"command": "synth-curves", "seeds": 2, "cells": 2}
+        assert run_info == {"command": "synth-curves", "nodes": [3], "dims": [2],
+                            "seeds": 2, "edge_prob": 0.3, "iterations": 1}
 
 
 class TestSynthCurves:

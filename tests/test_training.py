@@ -602,6 +602,13 @@ class TestLinearBaseline:
         acc = tr.linear_baseline(ds, split).accuracy_mean
         assert abs(acc - 1.0 / 3.0) < 0.12
 
+    def test_float_labels_rejected(self, blobs):
+        # ridge_fit would index its one-hot targets with them
+        split = tr.stratified_kfold(blobs.y, 4, 0)
+        shifted = dataclasses.replace(blobs, y=blobs.y + 0.4)
+        with pytest.raises(ContractError, match="labels must be integers"):
+            tr.linear_baseline(shifted, split)
+
     def test_weights_match_augmented_lstsq_oracle(self):
         rng = np.random.default_rng(4)
         x = rng.normal(size=(12, 3))
@@ -659,6 +666,27 @@ class TestKnnBaseline:
         # distance 0, and whole groups of three tie at each distance after
         x = np.repeat(RNG.normal(size=(10, 4)), 3, axis=0)[RNG.permutation(30)]
         assert np.array_equal(tr.knn_adjacency(x, k), stable_sort_knn(x, k))
+
+    @pytest.mark.parametrize("rows_per_block", [1, 4])
+    def test_row_blocks_pick_neighbours_as_a_stable_sort(self, rows_per_block,
+                                                         monkeypatch):
+        n = 30
+        monkeypatch.setattr(ad, "BLOCK_BYTES", 8 * n * rows_per_block)
+        x = RNG.integers(0, 3, size=(n, 3)).astype(float)
+        for k in (1, 4, 29):
+            assert np.array_equal(tr.knn_adjacency(x, k), stable_sort_knn(x, k))
+
+    def test_peak_memory_is_about_one_nxn_buffer(self):
+        # the graph is written into the distance buffer, not a second one
+        n = 1000
+        x = RNG.normal(size=(n, 8))
+        tracemalloc.start()
+        try:
+            tr.knn_adjacency(x, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 8 * n * n
 
     def test_invalid_k_rejected(self):
         with pytest.raises(ContractError):
