@@ -10,11 +10,12 @@ and their ``grad`` stays None; inside ``no_grad`` nothing is recorded.
 A tensor's first gradient contribution becomes its buffer and later ones
 are added into it; a recorded tensor's gradient is released when its
 adjoint runs, and the adjoint may overwrite it, so after ``backward`` only
-the leaves and the root hold one. The N x N kernels make their passes over
-row blocks that stay in cache. ``row_normalize`` keeps only the row sums
-of its input, and the matmuls that read the normalized operator multiply
-through the input and those sums, so the operator is never formed. The
-operator takes a gradient only as ``matmul``'s left operand: each such
+the leaves and the root hold one. Every N x N path starts at
+``pairwise_euclidean``, which alone enforces ``MAX_GRAPH_NODES``. The N x N
+kernels pass over row blocks that stay in cache. ``row_normalize`` keeps
+only its input's row sums, and the matmuls that read the normalized operator
+multiply through the input and those sums, so the operator is never formed.
+It takes a gradient only as ``matmul``'s left operand: each such
 matmul hands it its share as thin factors, ``row_normalize``'s adjoint
 forms the one N x N gradient from them in one product, and any other
 consumer of its gradient raises ContractError. The engine is
@@ -35,6 +36,12 @@ from .errors import ContractError, DimensionError, NumericalError
 # Smoothing added under the square root when differentiating pairwise
 # distances, so the gradient at coincident points is 0 instead of NaN.
 DISTANCE_EPS = 1e-12
+
+# Most rows ``pairwise_euclidean`` takes: one N x N float64 matrix is 8 N^2
+# bytes (3.2 GB at the cap), and a training step peaks at 3.1 of them, the kNN
+# baseline at 1.01 (tracemalloc, N=2000), per fold worker process. It bounds
+# the matrix size only; it does not check available memory.
+MAX_GRAPH_NODES = 20_000
 
 # N x N kernels make several passes over each block of about this many
 # bytes of rows while it is still in cache, instead of each pass streaming
@@ -323,7 +330,6 @@ def sigmoid(a, temperature, threshold) -> Tensor:
 
     def adjoint(g: np.ndarray) -> None:
         g = np.asarray(g)  # the g of a 0-d output may be a numpy scalar
-        scalars = t.requires_grad or theta.requires_grad
         dt = dtheta = 0.0
         for rows in _row_blocks(g):
             gb, s = g[rows], values[rows]
@@ -334,12 +340,10 @@ def sigmoid(a, temperature, threshold) -> Tensor:
             # t's gradient reads g before it is scaled, theta's after; d is
             # reused for theta - x. Scaling by -t gives x's gradient in one
             # pass and the same bits as scaling by t and negating.
-            if scalars:
-                np.subtract(theta.values, x[rows], out=d)
-                dt += np.vdot(gb, d)
+            np.subtract(theta.values, x[rows], out=d)
+            dt += np.vdot(gb, d)
             gb *= -t.values
-            if scalars:
-                dtheta -= gb.sum()
+            dtheta -= gb.sum()
             del d  # freed before the next block's: two alive ran ~10% slower
         if t.requires_grad:
             _accumulate(t, dt)
@@ -420,13 +424,20 @@ def matmul(a, b) -> Tensor:
 def pairwise_euclidean(e) -> Tensor:
     """All-pairs Euclidean distances between the rows of ``e``.
 
-    The result is exactly symmetric with an exactly zero diagonal. The
-    gradient uses the smoothed denominator sqrt(d^2 + DISTANCE_EPS), which
-    defines the derivative at coincident points (and on the diagonal) as 0.
+    The result is exactly symmetric with an exactly zero diagonal. More
+    than ``MAX_GRAPH_NODES`` rows raise ContractError before the N x N
+    result is allocated. The gradient uses the smoothed denominator
+    sqrt(d^2 + DISTANCE_EPS), which defines the derivative at coincident
+    points (and on the diagonal) as 0.
     """
     e = as_tensor(e)
     if e.values.ndim != 2:
         raise DimensionError(f"pairwise_euclidean expects an (N,k) matrix, got {e.shape}")
+    n = e.shape[0]
+    if n > MAX_GRAPH_NODES:
+        raise ContractError(
+            f"{n} nodes exceeds the dense-adjacency cap of {MAX_GRAPH_NODES} "
+            f"(an N x N float64 matrix at N={n} is ~{8 * n * n / 1e9:.1f} GB)")
     # Exact symmetry by construction: numpy computes v @ v.T for one
     # contiguous buffer with syrk and mirrors the triangle, and
     # n_i + n_j == n_j + n_i, so no transposed pass is needed.
@@ -445,26 +456,22 @@ def pairwise_euclidean(e) -> Tensor:
 
     def adjoint(g: np.ndarray) -> None:
         # w = g / sqrt(d^2 + eps), rebuilt from the distances so no squared
-        # distances outlive the forward pass, and the row and column sums
-        # of w taken in the same pass. The diagonal is constant 0 and has
-        # no gradient; zeroed first, it stays 0 under the division.
+        # distances outlive the forward pass. The diagonal is constant 0 and
+        # has no gradient; zeroed first, it stays 0 under the division.
         np.fill_diagonal(g, 0.0)
-        row_sums, col_sums = np.empty(g.shape[0]), np.zeros(g.shape[0])
-        # every block adds into one col_sums vector, so the extra memory
-        # stays O(N) however many blocks there are
         for rows in _row_blocks(g):
             gb, d = g[rows], values[rows]
             w = np.multiply(d, d)
             w += DISTANCE_EPS
             np.sqrt(w, out=w)
             gb /= w
-            gb.sum(axis=1, out=row_sums[rows])
-            col_sums += gb.sum(axis=0)
             del w  # freed before the next block's, as in sigmoid
-        # d_ij depends on rows i and j alike: pull w and w.T through
-        # without forming w + w.T
-        degree = row_sums + col_sums
-        _accumulate(e, degree[:, None] * v - (g @ v + _transposed_matmul(g, v)))
+        # d_ij depends on rows i and j alike: pull w and w.T through without
+        # forming w + w.T. The ones column makes each row's degree, the row
+        # plus column sum of w, the last column of the two thin products.
+        v1 = np.hstack([v, np.ones((v.shape[0], 1))])
+        m = g @ v1 + _transposed_matmul(g, v1)
+        _accumulate(e, m[:, -1:] * v - m[:, :-1])
 
     return _record(values, "pairwise_euclidean", (e,), adjoint)
 

@@ -96,10 +96,9 @@ def build_parser() -> _Parser:
                        help="stratified k-fold CV; prints accuracy and AUC")
     _add_model_flags(p)
     p.add_argument("--folds", type=int, default=10)
-    p.add_argument("--with-baselines", action="store_true",
-                   help="also report ridge and static-kNN-graph baselines")
-    p.add_argument("--knn-k", type=int, default=10,
-                   help="neighbor count for the kNN-graph baseline")
+    p.add_argument("--with-baselines", type=int, nargs="?", const=10, default=None,
+                   metavar="K", help="also report ridge and static K-nearest-neighbour-"
+                   "graph baselines (K defaults to 10)")
 
     p = sub.add_parser("infer", parents=[seeded],
                        help="train, then predict labels for unseen rows")
@@ -185,11 +184,11 @@ def _cmd_cross_validate(args, out_dir: Path) -> int:
     result = training.cross_validate(dataset, cfg)
     print(result.summary())
     payload = {"model": _cv_payload(result)}
-    if args.with_baselines:
+    if args.with_baselines is not None:
         split = training.stratified_kfold(dataset.y, cfg.folds, cfg.seed)
         ridge = training.linear_baseline(dataset, split)
         knn = training.cross_validate(
-            dataset, cfg, adjacency=training.knn_adjacency(dataset.X, args.knn_k))
+            dataset, cfg, adjacency=training.knn_adjacency(dataset.X, args.with_baselines))
         print(f"ridge baseline      {ridge.summary()}")
         print(f"knn-graph baseline  {knn.summary()}")
         payload["ridge_baseline"] = _cv_payload(ridge)

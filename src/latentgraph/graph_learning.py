@@ -24,15 +24,6 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ContractError, DimensionError
 
-# One dense N x N float64 matrix is 8 * N^2 bytes (3.2 GB at the cap), and a
-# training step holds about 4 of them at its peak (3.1 traced at N=2000: the
-# distances, the edge weights and one gradient; the normalized operator is
-# never stored): ~13 GB at the cap. Each fold worker process holds its own,
-# and the kNN baseline graph of ``--with-baselines`` peaks at 1.01 of them
-# (tracemalloc, N=2000). The cap bounds the matrix size only; it does not
-# check available memory.
-MAX_GRAPH_NODES = 20_000
-
 # Effective temperature at initialization; softplus(raw) == this value.
 INITIAL_TEMPERATURE = 2.0
 
@@ -141,11 +132,6 @@ def soft_adjacency(embedding, edge: EdgeParams) -> Tensor:
     symmetric, has every entry strictly inside (0, 1) barring float
     underflow at extreme saturation, equals sigmoid(temperature *
     threshold) on the diagonal, and is strictly decreasing in distance.
+    ``ad.pairwise_euclidean`` enforces the node cap before allocating.
     """
-    e = ad.as_tensor(embedding)
-    n = e.shape[0]
-    if n > MAX_GRAPH_NODES:
-        raise ContractError(
-            f"{n} nodes exceeds the dense-adjacency cap of {MAX_GRAPH_NODES} "
-            f"(an N x N float64 matrix at N={n} is ~{8 * n * n / 1e9:.1f} GB)")
-    return ad.sigmoid(ad.pairwise_euclidean(e), edge.temperature(), edge.threshold)
+    return ad.sigmoid(ad.pairwise_euclidean(embedding), edge.temperature(), edge.threshold)

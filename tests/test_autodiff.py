@@ -338,28 +338,29 @@ class TestRowBlocks:
         for a in (RNG.normal(size=(self.N, self.N)), np.asarray(1.5)):
             assert ad._row_blocks(a) == [...]
 
-    # Four rows per block leave N = 9 a last block of one. The distance
-    # adjoint adds its column sums block by block, so its gradient has the
-    # one-block bits only in one-row blocks; in blocks of three it is
-    # checked by test_adjoints_match_closed_forms_in_multi_row_blocks.
-    @pytest.mark.parametrize("op, shape, rows_per_block", [
-        (ad.pairwise_euclidean, (N, 4), 1),
-        (plain_sigmoid, (N, N), 1),
-        (graph_conv, (N, N), 1),
-        (plain_sigmoid, (N, N), 4),
-        (graph_conv, (N, N), 4),
+    # four rows per block leave N = 9 a last block of one
+    @pytest.mark.parametrize("op, shape, rows_per_block, inputs", [
+        (ad.pairwise_euclidean, (N, 4), 1, 1),
+        (plain_sigmoid, (N, N), 1, 1),
+        (graph_conv, (N, N), 1, 1),
+        (ad.pairwise_euclidean, (N, 4), 4, 20),
+        (plain_sigmoid, (N, N), 4, 1),
+        (graph_conv, (N, N), 4, 1),
     ], ids=["pairwise_euclidean", "sigmoid", "row_normalize",
-            "sigmoid-four_row_blocks", "row_normalize-four_row_blocks"])
+            "pairwise_euclidean-four_row_blocks", "sigmoid-four_row_blocks",
+            "row_normalize-four_row_blocks"])
     def test_forward_and_adjoint_equal_one_block(self, op, shape, rows_per_block,
-                                                 monkeypatch):
-        values = [RNG.uniform(-2.0, 2.0, size=shape)]
-        weight = RNG.normal(size=(self.N, self.N))
-        whole, whole_grads = forward_and_gradients(op, values, weight)
-        monkeypatch.setattr(ad, "BLOCK_BYTES", 8 * self.N * rows_per_block)
-        blocked, blocked_grads = forward_and_gradients(op, values, weight)
-        assert np.array_equal(blocked, whole)
-        for got, want in zip(blocked_grads, whole_grads):
-            assert np.array_equal(got, want)
+                                                 inputs, monkeypatch):
+        for _ in range(inputs):
+            values = [RNG.uniform(-2.0, 2.0, size=shape)]
+            weight = RNG.normal(size=(self.N, self.N))
+            whole, whole_grads = forward_and_gradients(op, values, weight)
+            with monkeypatch.context() as m:
+                m.setattr(ad, "BLOCK_BYTES", 8 * self.N * rows_per_block)
+                blocked, blocked_grads = forward_and_gradients(op, values, weight)
+            assert np.array_equal(blocked, whole)
+            for got, want in zip(blocked_grads, whole_grads):
+                assert np.array_equal(got, want)
 
     def test_blocked_distances_exactly_symmetric_with_zero_diagonal(self, one_row_blocks):
         d = ad.pairwise_euclidean(RNG.normal(size=(self.N, 5))).values

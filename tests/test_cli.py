@@ -122,7 +122,7 @@ class TestEveryConfigFieldHasAFlag:
              "--features", "f1,f2", "--quantize-edges", "1,2", "--no-standardize",
              "--epochs", "7", "--lr", "0.02", "--lr-min", "0.001", "--folds", "3",
              "--embed-hidden", "5", "--embed-dim", "3", "--gc-widths", "4",
-             "--with-baselines", "--knn-k", "4", "--seed", "9", "--out-dir", "o"],
+             "--with-baselines", "4", "--seed", "9", "--out-dir", "o"],
             ["cross-validate", "--data", "b.csv", "--label-col", "y"])
         assert _unset_fields(cli._train_config(args)) == []
 
@@ -160,7 +160,7 @@ def quick_argv(command, data_csv, out_dir):
     model = ["--data", str(data_csv), "--label-col", "dx", *FAST_FLAGS, "--epochs", "2"]
     flags = {
         "train": model,
-        "cross-validate": [*model, "--folds", "2", "--with-baselines", "--knn-k", "3"],
+        "cross-validate": [*model, "--folds", "2", "--with-baselines", "3"],
         "infer": [*model, "--test-data", str(data_csv)],
         "export-graph": model,
         "synth-recover": ["--nodes", "4", "--iterations", "5"],
@@ -230,8 +230,17 @@ class TestCrossValidate:
         printed = capsys.readouterr().out
         assert "accuracy:" in printed and "auc:" in printed and "±" in printed
         metrics = json.loads((out / "metrics.json").read_text())
-        assert json.loads((out / "run.json").read_text())["seed"] == 7
+        run_info = json.loads((out / "run.json").read_text())
+        assert run_info["seed"] == 7 and run_info["with_baselines"] is None
         assert len(metrics["model"]["fold_accuracy"]) == 3
+
+    def test_baselines_take_k_as_their_value(self, data_csv, tmp_path, capsys):
+        # K is read only with the baselines, so it is recorded only with them
+        argv = ["cross-validate", "--data", str(data_csv), "--label-col", "dx"]
+        assert cli.build_parser().parse_args([*argv, "--with-baselines"]).with_baselines == 10
+        assert cli.run([*argv, "--with-baselines", "--knn-k", "4",
+                        "--out-dir", str(tmp_path / "o")]) == 1
+        assert "unrecognized arguments: --knn-k 4" in capsys.readouterr().err
 
     def test_with_baselines_reports_ridge_and_knn_graph(self, tmp_path, capsys):
         from latentgraph import data_io, training
@@ -241,7 +250,7 @@ class TestCrossValidate:
         out = tmp_path / "cvb"
         code = cli.run(["cross-validate", "--data", str(data_csv),
                         "--label-col", "dx", "--folds", "3", "--seed", "7",
-                        "--with-baselines", "--knn-k", "4",
+                        "--with-baselines", "4",
                         "--out-dir", str(out), *FAST_FLAGS])
         assert code == 0
         printed = capsys.readouterr().out

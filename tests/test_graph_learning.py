@@ -82,7 +82,7 @@ class TestSoftAdjacency:
         assert abs(a[0, 1] - 0.8807970779778823) < 1e-12
 
     def test_node_cap_enforced(self):
-        e = ad.Tensor(np.zeros((gl.MAX_GRAPH_NODES + 1, 1)))
+        e = ad.Tensor(np.zeros((ad.MAX_GRAPH_NODES + 1, 1)))
         with pytest.raises(ContractError, match="GB"):
             gl.soft_adjacency(e, edge_params(2.0, 1.0))
 

@@ -1,8 +1,10 @@
+import os
 import subprocess
 import sys
 from pathlib import Path
 
-PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+ROOT = Path(__file__).resolve().parents[1]
+PYPROJECT = ROOT / "pyproject.toml"
 
 TWO_TESTS = """
 from hypothesis import given, strategies as st
@@ -29,3 +31,26 @@ def test_failing_property_test_does_not_abort_the_run(tmp_path):
         cwd=tmp_path, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 1, (proc.stdout + proc.stderr)[-600:]
     assert "1 failed, 1 passed" in proc.stdout
+
+
+def run_console_entry_point(*args, cwd):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    return subprocess.run(
+        [sys.executable, "-W", "error", "-m", "latentgraph.cli", *args],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_console_entry_point_help_exits_zero(tmp_path):
+    proc = run_console_entry_point("--help", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr[-600:]
+    assert "cross-validate" in proc.stdout and proc.stderr == ""
+
+
+def test_console_entry_point_usage_error_exits_one(tmp_path):
+    # one line: no usage text and no traceback, and no warning under -W error
+    proc = run_console_entry_point("train", "--epoch", "5", cwd=tmp_path)
+    assert proc.returncode == 1, proc.stderr[-600:]
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("usage error:"), proc.stderr
+    assert proc.stdout == ""

@@ -623,6 +623,28 @@ class TestLinearBaseline:
         np.testing.assert_allclose(weights, expected, atol=1e-8)
 
 
+class TestNodeCap:
+    """``ad.pairwise_euclidean`` checks the cap before it allocates, so a
+    path that starts with the distances raises before any N x N buffer."""
+
+    N = 600
+
+    @pytest.mark.parametrize("path", ["train", "knn_adjacency"])
+    def test_raises_before_the_first_nxn_buffer(self, path, monkeypatch):
+        monkeypatch.setattr(ad, "MAX_GRAPH_NODES", 50)
+        data = make_blobs(n_per_class=self.N // 2)
+        run = {"train": lambda: tr.train(data, tr.TrainConfig(seed=0, **FAST)),
+               "knn_adjacency": lambda: tr.knn_adjacency(data.X, 10)}[path]
+        tracemalloc.start()
+        try:
+            with pytest.raises(ContractError, match=f"{self.N} nodes exceeds .* cap of 50"):
+                run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * 8 * self.N ** 2
+
+
 def stable_sort_knn(x, k):
     """The kNN graph from a stable sort of each row's distances: among
     equal distances the lowest columns come first."""
