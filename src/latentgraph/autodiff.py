@@ -12,7 +12,8 @@ are added into it; a recorded tensor's gradient is released when its
 adjoint runs, and the adjoint may overwrite it, so after ``backward`` only
 the leaves and the root hold one. Every N x N path starts at
 ``pairwise_euclidean``, which alone enforces ``MAX_GRAPH_NODES``. The N x N
-kernels pass over row blocks that stay in cache. ``row_normalize`` keeps
+kernels pass over row blocks that stay in cache; ``BLOCK_BYTES`` sets only
+their speed, and no result depends on it. ``row_normalize`` keeps
 only its input's row sums, and the matmuls that read the normalized operator
 multiply through the input and those sums, so the operator is never formed.
 It takes a gradient only as ``matmul``'s left operand: each such
@@ -85,9 +86,11 @@ class Tensor:
 
 
 def as_tensor(x) -> Tensor:
-    """Wrap arrays/scalars as constant leaves; pass tensors through."""
+    """Pass tensors through; wrap arrays/scalars, not None, as constants."""
     if isinstance(x, Tensor):
         return x
+    if x is None:
+        raise ContractError("expected an array or a tensor, got None")
     return Tensor(x)
 
 
@@ -301,17 +304,16 @@ def relu(a) -> Tensor:
 
 
 def sigmoid(a, temperature, threshold) -> Tensor:
-    """Elementwise sigmoid(temperature * (threshold - a)) for two 0-d
-    tensors: the edge weights of a learned graph in one op, so neither the
-    affine map nor its inputs' difference is recorded. Its adjoint rebuilds
-    threshold - a a row block at a time."""
-    a = as_tensor(a)
-    t = None if temperature is None else as_tensor(temperature)
-    theta = None if threshold is None else as_tensor(threshold)
-    if t is None or theta is None or t.values.ndim or theta.values.ndim:
+    """Elementwise sigmoid(temperature * (threshold - a)) of a matrix for
+    two 0-d tensors: a learned graph's edge weights in one op, so neither
+    the affine map nor its inputs' difference is recorded. The adjoint sums
+    the temperature and threshold gradients per row, then over the rows
+    once, so no result depends on ``BLOCK_BYTES``."""
+    a, t, theta = as_tensor(a), as_tensor(temperature), as_tensor(threshold)
+    if a.values.ndim != 2 or t.values.ndim or theta.values.ndim:
         raise DimensionError(
-            "sigmoid expects a 0-d temperature and a 0-d threshold, got "
-            f"{getattr(t, 'shape', None)} and {getattr(theta, 'shape', None)}")
+            "sigmoid expects a matrix, a 0-d temperature and a 0-d threshold, "
+            f"got {a.shape}, {t.shape} and {theta.shape}")
     # 1 / (1 + exp(-z)) in one buffer. exp overflows for z < -709.78 (result
     # 0, where the exact value is subnormal) and underflows for large z
     # (result 1); both saturations are benign, so their flags are silenced.
@@ -329,26 +331,24 @@ def sigmoid(a, temperature, threshold) -> Tensor:
             np.reciprocal(out, out=out)
 
     def adjoint(g: np.ndarray) -> None:
-        g = np.asarray(g)  # the g of a 0-d output may be a numpy scalar
-        dt = dtheta = 0.0
+        dt, dtheta = np.empty(len(g)), np.empty(len(g))
         for rows in _row_blocks(g):
             gb, s = g[rows], values[rows]
-            # an array even for a 0-d s, so the out= write below can reuse it
-            d = np.subtract(1.0, s, out=np.empty_like(s))
+            d = np.subtract(1.0, s)
             d *= s
             gb *= d
             # t's gradient reads g before it is scaled, theta's after; d is
             # reused for theta - x. Scaling by -t gives x's gradient in one
             # pass and the same bits as scaling by t and negating.
             np.subtract(theta.values, x[rows], out=d)
-            dt += np.vdot(gb, d)
+            np.einsum("ij,ij->i", gb, d, out=dt[rows])
             gb *= -t.values
-            dtheta -= gb.sum()
+            np.add.reduce(gb, axis=1, out=dtheta[rows])
             del d  # freed before the next block's: two alive ran ~10% slower
         if t.requires_grad:
-            _accumulate(t, dt)
+            _accumulate(t, dt.sum())
         if theta.requires_grad:
-            _accumulate(theta, dtheta)
+            _accumulate(theta, -dtheta.sum())
         if a.requires_grad:
             _accumulate(a, g)
 
@@ -382,15 +382,6 @@ def softplus(a) -> Tensor:
 # linear algebra and row structure
 
 
-def _transposed_matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``x.T @ y``. An ``x`` of more than one block is multiplied as
-    ``(y.T @ x).T``, about twice as fast for a skinny ``y``; a smaller one
-    keeps the C-ordered result, which later elementwise passes read faster."""
-    if x.nbytes > BLOCK_BYTES:
-        return (y.T @ x).T
-    return x.T @ y
-
-
 def matmul(a, b) -> Tensor:
     """a @ b. A row-normalized ``a`` is multiplied through its factors,
     (A @ b) / rowsum(A). It is the one operand that takes the operator's
@@ -416,7 +407,8 @@ def matmul(a, b) -> Tensor:
             else:
                 _accumulate(a, g @ b.values.T)
         if b.requires_grad:
-            _accumulate(b, _transposed_matmul(left, g / a.denom if operator else g))
+            # A.T @ g as (g.T @ A).T runs faster for the N x N operator
+            _accumulate(b, ((g / a.denom).T @ left).T if operator else left.T @ g)
 
     return _record(values, "matmul", (a, b), adjoint)
 
@@ -470,7 +462,7 @@ def pairwise_euclidean(e) -> Tensor:
         # forming w + w.T. The ones column makes each row's degree, the row
         # plus column sum of w, the last column of the two thin products.
         v1 = np.hstack([v, np.ones((v.shape[0], 1))])
-        m = g @ v1 + _transposed_matmul(g, v1)
+        m = g @ v1 + (v1.T @ g).T  # g is N x N, as in matmul
         _accumulate(e, m[:, -1:] * v - m[:, :-1])
 
     return _record(values, "pairwise_euclidean", (e,), adjoint)

@@ -181,18 +181,20 @@ def _cv_payload(metrics: training.CVMetrics) -> dict:
 def _cmd_cross_validate(args, out_dir: Path) -> int:
     dataset = _load_dataset(args)
     cfg = _train_config(args)
+    baselines = {}
+    if args.with_baselines is not None:
+        # before the model, so a bad K fails before any training, and the
+        # kNN graph is freed before the model's folds run
+        split = training.stratified_kfold(dataset.y, cfg.folds, cfg.seed)
+        baselines["ridge"] = training.linear_baseline(dataset, split)
+        baselines["knn-graph"] = training.cross_validate(
+            dataset, cfg, adjacency=training.knn_adjacency(dataset.X, args.with_baselines))
     result = training.cross_validate(dataset, cfg)
     print(result.summary())
     payload = {"model": _cv_payload(result)}
-    if args.with_baselines is not None:
-        split = training.stratified_kfold(dataset.y, cfg.folds, cfg.seed)
-        ridge = training.linear_baseline(dataset, split)
-        knn = training.cross_validate(
-            dataset, cfg, adjacency=training.knn_adjacency(dataset.X, args.with_baselines))
-        print(f"ridge baseline      {ridge.summary()}")
-        print(f"knn-graph baseline  {knn.summary()}")
-        payload["ridge_baseline"] = _cv_payload(ridge)
-        payload["knn_graph_baseline"] = _cv_payload(knn)
+    for name, metrics in baselines.items():
+        print(f"{name + ' baseline':20s}{metrics.summary()}")
+        payload[name.replace("-", "_") + "_baseline"] = _cv_payload(metrics)
     data_io.write_metrics_json(out_dir / "metrics.json", payload)
     return 0
 

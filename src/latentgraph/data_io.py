@@ -187,7 +187,8 @@ def quantize_labels(values, edges) -> np.ndarray:
     """
     values = np.asarray(values, dtype=np.float64)
     edges = np.asarray(edges, dtype=np.float64)
-    if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):
+    # asks for increasing steps: any comparison with a NaN edge is False
+    if edges.ndim != 1 or edges.size < 2 or not np.all(np.diff(edges) > 0):
         raise ContractError("edges must be a strictly increasing 1-D sequence")
     out_of_range = ~((values >= edges[0]) & (values <= edges[-1]))  # NaN too
     if out_of_range.any():

@@ -210,6 +210,20 @@ class TestRunRecord:
         assert records == [(out / "run.json").read_bytes()]
         assert json.loads(records[0]) == parsed_settings(argv)
 
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_byte_identical_reruns(self, command, data_csv, tmp_path, monkeypatch, capsys):
+        # one relative --out-dir from two working directories, so that the
+        # output paths a command prints are equal too
+        runs = []
+        for name in ("r1", "r2"):
+            (tmp_path / name).mkdir()
+            monkeypatch.chdir(tmp_path / name)
+            assert cli.run(quick_argv(command, data_csv, "out")) == 0
+            files = {p.name: p.read_bytes() for p in Path("out").iterdir()}
+            runs.append((files, capsys.readouterr().out))
+        assert "run.json" in runs[0][0] and runs[0][1]
+        assert runs[0] == runs[1]
+
     @pytest.mark.parametrize("command", ["train", "cross-validate", "synth-recover"])
     def test_metrics_hold_no_setting(self, command, data_csv, tmp_path):
         out = tmp_path / "o"
@@ -241,6 +255,19 @@ class TestCrossValidate:
         assert cli.run([*argv, "--with-baselines", "--knn-k", "4",
                         "--out-dir", str(tmp_path / "o")]) == 1
         assert "unrecognized arguments: --knn-k 4" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("k", ["0", "30", "-1"], ids=["zero", "row_count", "negative"])
+    def test_bad_baseline_k_fails_before_any_training(self, k, data_csv, tmp_path, capsys,
+                                                      monkeypatch):
+        from latentgraph import training
+        calls, train = [], training.train
+        monkeypatch.setattr(training, "train", lambda *a, **kw: calls.append(1) or train(*a, **kw))
+        out = tmp_path / "o"
+        assert cli.run(["cross-validate", "--data", str(data_csv), "--label-col", "dx",
+                        "--with-baselines", k, "--out-dir", str(out), *FAST_FLAGS]) == 2
+        assert calls == []
+        assert f"need 0 < k_neighbors < 30, got {k}" in capsys.readouterr().err
+        assert not (out / "metrics.json").exists()
 
     def test_with_baselines_reports_ridge_and_knn_graph(self, tmp_path, capsys):
         from latentgraph import data_io, training
@@ -284,16 +311,6 @@ class TestSynthRecover:
         assert run_info["seed"] == 1
         metrics = json.loads((out / "metrics.json").read_text())
         assert set(metrics) == {"final_mse", "edge_agreement"}
-
-    def test_byte_identical_reruns(self, tmp_path):
-        args = ["synth-recover", "--nodes", "5", "--dim", "4",
-                "--iterations", "150", "--seed", "3"]
-        out1, out2 = tmp_path / "r1", tmp_path / "r2"
-        assert cli.run([*args, "--out-dir", str(out1)]) == 0
-        assert cli.run([*args, "--out-dir", str(out2)]) == 0
-        for name in ("ground_truth.csv", "learned_adjacency.csv", "run.json",
-                     "metrics.json"):
-            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
 class TestSeed:

@@ -175,6 +175,12 @@ class TestQuantizeLabels:
         with pytest.raises(ContractError):
             data_io.quantize_labels([1.0], [0.0, 2.0, 2.0])
 
+    @pytest.mark.parametrize("edges", [[50.0, np.nan, 90.0], [np.nan, 60.0, 90.0]],
+                             ids=["inner_nan", "first_nan"])
+    def test_nan_edges_rejected(self, edges):
+        with pytest.raises(ContractError, match="strictly increasing"):
+            data_io.quantize_labels([55.0, 65.0, 75.0, 85.0], edges)
+
     @given(st.lists(st.floats(50.0, 90.0, allow_nan=False), min_size=2,
                     max_size=20))
     @settings(max_examples=40, deadline=None)

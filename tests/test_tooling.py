@@ -1,10 +1,16 @@
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 PYPROJECT = ROOT / "pyproject.toml"
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import workloads  # noqa: E402
 
 TWO_TESTS = """
 from hypothesis import given, strategies as st
@@ -54,3 +60,17 @@ def test_console_entry_point_usage_error_exits_one(tmp_path):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("usage error:"), proc.stderr
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_benchmark_workload_passes_its_output_checks(name, tmp_path, monkeypatch):
+    # each job's loss fingerprint must match reference.json on variant 0, and
+    # the workloads must still be able to call into the package as they do
+    monkeypatch.setenv("LATENTGRAPH_WORKERS", "1")
+    reference = json.loads(workloads.REFERENCE_PATH.read_text())
+    workload = workloads.load(name, 0, tmp_path, reference)
+    workload.prepare()
+    results = [workload.run_task(task, lambda: None) for task in workload.tasks()]
+    reasons = [reason for result in results for reason in result.reasons]
+    assert sum(result.attempted for result in results) > 0
+    assert sum(result.failed for result in results) == 0, reasons
