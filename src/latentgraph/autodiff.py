@@ -10,19 +10,26 @@ and their ``grad`` stays None; inside ``no_grad`` nothing is recorded.
 A tensor's first gradient contribution becomes its buffer and later ones
 are added into it; a recorded tensor's gradient is released when its
 adjoint runs, and the adjoint may overwrite it, so after ``backward`` only
-the leaves and the root hold one. Every N x N path starts at
-``pairwise_euclidean``, which alone enforces ``MAX_GRAPH_NODES``. The N x N
-kernels pass over row blocks that stay in cache; ``BLOCK_BYTES`` sets only
-their speed, and no result depends on it. ``row_normalize`` keeps
-only its input's row sums, and the matmuls that read the normalized operator
-multiply through the input and those sums, so the operator is never formed.
-It takes a gradient only as ``matmul``'s left operand: each such
-matmul hands it its share as thin factors, ``row_normalize``'s adjoint
-forms the one N x N gradient from them in one product, and any other
-consumer of its gradient raises ContractError. The engine is
-deliberately small; it supports exactly the operations the graph-learning
-models need, all in double precision so that gradients can be validated
-against central finite differences to tight tolerances.
+the leaves and the root hold one.
+
+Every N x N path starts at ``pairwise_euclidean``, which alone enforces
+``MAX_GRAPH_NODES``. Its distances are lazy: they keep the embedding rows
+and their norms, and ``sigmoid`` computes the learned graph's edge weights
+from them once per pair of ``TILE``-row blocks, so the edge weights are
+the one N x N array a learned graph stores. ``row_normalize`` keeps only
+its input's row sums, and the matmuls that read the normalized operator
+multiply through the input and those sums, so the operator is never
+formed. It takes a gradient only as ``matmul``'s left operand: each such
+matmul hands it its share as thin factors, and any other consumer of its
+gradient raises ContractError. ``row_normalize`` hands the edge weights
+their gradient as thin factors in turn, and ``sigmoid``'s adjoint walks
+the tile pairs again, recomputing the distances, so no N x N gradient is
+formed and the distances' gradient arrives contracted to N x (k + 1).
+Results depend on ``TILE`` in their last bits; two runs give the same
+bits. The engine is deliberately small; it supports exactly the
+operations the graph-learning models need, all in double precision so
+that gradients can be validated against central finite differences to
+tight tolerances.
 """
 
 from __future__ import annotations
@@ -39,14 +46,20 @@ from .errors import ContractError, DimensionError, NumericalError
 DISTANCE_EPS = 1e-12
 
 # Most rows ``pairwise_euclidean`` takes: one N x N float64 matrix is 8 N^2
-# bytes (3.2 GB at the cap), and a training step peaks at 3.1 of them, the kNN
-# baseline at 1.01 (tracemalloc, N=2000), per fold worker process. It bounds
-# the matrix size only; it does not check available memory.
+# bytes (3.2 GB at the cap), and a training step peaks at 1.1 of them,
+# ``evaluate`` and the kNN baseline at 1.0 and threshold calibration at 0.5
+# (tracemalloc, N=2000), per fold worker process. It bounds the matrix size
+# only; it does not check available memory.
 MAX_GRAPH_NODES = 20_000
 
-# N x N kernels make several passes over each block of about this many
-# bytes of rows while it is still in cache, instead of each pass streaming
-# the whole array through memory.
+# Rows per tile of the distances and edge weights. Each tile pair's
+# temporaries stay in cache. In one-process A/B training steps on a 2-vCPU
+# host, tiles of 64 and 256 rows ran 4% and 35% slower at N=300 and 24%
+# and 2% slower at N=2000; 96 and 192 rows ran no faster.
+TILE = 128
+
+# The kNN baseline sorts row blocks of about this many bytes of distances
+# at a time.
 BLOCK_BYTES = 1 << 18
 
 # False inside ``no_grad``: no op is recorded.
@@ -136,6 +149,109 @@ class _RowNormalized(Tensor):
         return self.adjacency.shape
 
 
+class _Distances(Tensor):
+    """D, the distances between the rows of an N x k embedding, kept as
+    the rows and their squared norms. ``tile_pairs`` computes D one pair
+    of ``TILE``-row blocks at a time, and reading ``values`` forms D anew
+    from them each time. A graph of at most ``TILE`` rows keeps its one
+    tile. Its ``grad`` is contracted (see ``contract``): the N x (k + 1)
+    matrix [W v, W 1], where W is the symmetric gradient of the unordered
+    distances divided by sqrt(d^2 + DISTANCE_EPS); a dense N x N gradient
+    is contracted on arrival."""
+
+    __slots__ = ("rows", "sq_norms", "tile")
+
+    def __init__(self, rows: np.ndarray):
+        self.rows = np.ascontiguousarray(rows)
+        self.sq_norms = (self.rows * self.rows).sum(axis=1)
+        self.grad = None
+        self.requires_grad = False
+        self.op = None
+        self.parents = ()
+        self._adjoint = None
+        n = len(self.rows)
+        self.tile = self._tile(slice(0, n), slice(0, n)) if n <= TILE else None
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return (len(self.rows), len(self.rows))
+
+    @property
+    def values(self) -> np.ndarray:
+        values = np.empty(self.shape)
+        for rows, cols, d in self.tile_pairs():
+            values[rows, cols] = d
+            values[cols, rows] = d.T
+            del d  # freed before the next tile is made
+        return values
+
+    def _tile(self, rows: slice, cols: slice) -> np.ndarray:
+        # d_ij = sqrt(-2 g_ij + (n_i + n_j)): a diagonal tile's Gram block
+        # v_I @ v_I.T is one syrk call, exactly symmetric, and n_i + n_j ==
+        # n_j + n_i, so the tile is exactly symmetric too
+        v = self.rows
+        d = v[rows] @ v[cols].T
+        d *= -2.0
+        d += self.sq_norms[rows, None] + self.sq_norms[cols]
+        np.maximum(d, 0.0, out=d)
+        np.sqrt(d, out=d)
+        if rows == cols:
+            # the diagonal; np.fill_diagonal costs about 1 us more per call,
+            # which shows on the 20-node graphs of the recovery study
+            d.ravel()[::len(d) + 1] = 0.0
+        return d
+
+    def tile_pairs(self) -> Iterator[tuple[slice, slice, np.ndarray]]:
+        """(I, J, D[I, J]) for every pair of ``TILE``-row blocks with J at
+        or after I, in row order; D[J, I] is the transpose. A yielded tile
+        must not be written to, and a caller that drops it before asking for
+        the next holds one tile at a time."""
+        if self.tile is not None:
+            everyone = slice(0, len(self.rows))
+            yield everyone, everyone, self.tile
+            return
+        starts = range(0, len(self.rows), TILE)
+        for i in starts:
+            rows = slice(i, i + TILE)
+            for j in starts[i // TILE:]:
+                cols = slice(j, j + TILE)
+                yield rows, cols, self._tile(rows, cols)
+
+    def contract(self, unordered: Callable[[slice, slice, np.ndarray], np.ndarray]
+                 ) -> np.ndarray:
+        """The contracted gradient [W v, W 1], tile pair by tile pair:
+        ``unordered(I, J, D[I, J])`` returns the gradient of the tile's
+        unordered distances as a fresh array, and W is that over
+        sqrt(d^2 + DISTANCE_EPS), 0 on the diagonal, where D is constant."""
+        n, k = self.rows.shape
+        v1 = np.empty((n, k + 1))
+        v1[:, :k] = self.rows
+        v1[:, k] = 1.0
+        m = np.zeros_like(v1)
+        for rows, cols, d in self.tile_pairs():
+            w = unordered(rows, cols, d)
+            q = np.multiply(d, d)
+            q += DISTANCE_EPS
+            np.sqrt(q, out=q)
+            w /= q
+            del q
+            if rows == cols:
+                w.ravel()[::len(w) + 1] = 0.0
+            else:
+                m[cols] += w.T @ v1[rows]
+            m[rows] += w @ v1[cols]
+            del w, d
+        return m
+
+
+class _EdgeWeights(Tensor):
+    """The output of ``sigmoid`` over distances. Its ``grad`` is a list of
+    terms: a dense N x N gradient, or the factors (L, R) of the gradient
+    L @ R.T that ``row_normalize`` hands it."""
+
+    __slots__ = ()
+
+
 def _record(values: np.ndarray | Tensor, op: str, inputs: tuple[Tensor, ...],
             adjoint: Callable[[np.ndarray], None]) -> Tensor:
     """The output of ``op``: recorded, with the inputs that need a gradient
@@ -206,15 +322,26 @@ def backward(loss: Tensor) -> None:
     loss.grad = np.ones(())
 
 
-def _accumulate(t: Tensor, g: np.ndarray) -> None:
+def _accumulate(t: Tensor, g) -> None:
     """Add the contribution ``g`` to ``t.grad``. The first one becomes the
     buffer itself, so an adjoint passes only a ``g`` nothing else holds,
     and the adjoint that later receives that buffer may overwrite it. A
     ``row_normalize`` output takes no dense gradient: only ``matmul``'s
-    left operand hands it shares."""
-    if isinstance(t, _RowNormalized):
-        raise ContractError(
-            "a row_normalize output takes a gradient only as matmul's left operand")
+    left operand hands it shares. Distances contract a dense gradient, and
+    edge weights list each term."""
+    if type(t) is not Tensor:
+        if isinstance(t, _RowNormalized):
+            raise ContractError(
+                "a row_normalize output takes a gradient only as matmul's left operand")
+        if isinstance(t, _EdgeWeights):
+            if t.grad is None:
+                t.grad = [g]
+            else:
+                t.grad.append(g)
+            return
+        if isinstance(t, _Distances):
+            dense = g
+            g = t.contract(lambda rows, cols, d: dense[rows, cols] + dense[cols, rows].T)
     if t.grad is None:
         t.grad = g
     else:
@@ -257,8 +384,8 @@ def add(a, b) -> Tensor:
             _accumulate(a, _unbroadcast(g, a.shape))
         if b.requires_grad:
             gb = _unbroadcast(g, b.shape)
-            # a may have taken g as its buffer; b must not share it
-            _accumulate(b, gb.copy() if gb is a.grad else gb)
+            # a may hold g, as its buffer or as one of its terms; b must not share it
+            _accumulate(b, gb.copy() if gb is g and a.requires_grad else gb)
 
     return _record(values, "add", (a, b), adjoint)
 
@@ -303,56 +430,132 @@ def relu(a) -> Tensor:
     return _record(values, "relu", (a,), adjoint)
 
 
+def _edge_weights(out: np.ndarray, d: np.ndarray, t: Tensor, theta: Tensor) -> None:
+    """out = sigmoid(t * (theta - d)) as 1 / (1 + exp(t * (d - theta))),
+    one buffer throughout. exp overflows for t * (theta - d) < -709.78
+    (result 0, where the exact value is subnormal) and underflows for large
+    values (result 1); callers silence both benign flags. t * (d - theta)
+    has the same bits as -(t * (theta - d)), and at t = -1, theta = 0 the
+    same bits as -d."""
+    np.subtract(d, theta.values, out=out)
+    out *= t.values
+    np.exp(out, out=out)
+    out += 1.0
+    np.reciprocal(out, out=out)
+
+
+def _edge_weight_grads(h: np.ndarray, s: np.ndarray, d: np.ndarray, t: Tensor,
+                       theta: Tensor) -> tuple[float, float]:
+    """Scale ``h``, a gradient of s = sigmoid(t * (theta - d)), in place
+    into the gradient of d, and return the gradients of t and theta."""
+    q = np.subtract(1.0, s)
+    q *= s
+    h *= q
+    np.subtract(theta.values, d, out=q)
+    dt = np.vdot(h, q)
+    # scaling by -t gives d's gradient in one pass and the same bits as
+    # scaling by t and negating
+    h *= -t.values
+    return dt, -h.sum()
+
+
 def sigmoid(a, temperature, threshold) -> Tensor:
     """Elementwise sigmoid(temperature * (threshold - a)) of a matrix for
     two 0-d tensors: a learned graph's edge weights in one op, so neither
-    the affine map nor its inputs' difference is recorded. The adjoint sums
-    the temperature and threshold gradients per row, then over the rows
-    once, so no result depends on ``BLOCK_BYTES``."""
+    the affine map nor its inputs' difference is recorded.
+
+    Over ``pairwise_euclidean``'s distances it runs once per pair of
+    ``TILE``-row blocks and mirrors each tile, so the result is exactly
+    symmetric and the distances are never stored; see ``_tiled_sigmoid``.
+    """
     a, t, theta = as_tensor(a), as_tensor(temperature), as_tensor(threshold)
-    if a.values.ndim != 2 or t.values.ndim or theta.values.ndim:
+    if len(a.shape) != 2 or t.values.ndim or theta.values.ndim:
         raise DimensionError(
             "sigmoid expects a matrix, a 0-d temperature and a 0-d threshold, "
             f"got {a.shape}, {t.shape} and {theta.shape}")
-    # 1 / (1 + exp(-z)) in one buffer. exp overflows for z < -709.78 (result
-    # 0, where the exact value is subnormal) and underflows for large z
-    # (result 1); both saturations are benign, so their flags are silenced.
-    # t * (x - theta) has the same bits as -(t * (theta - x)), and at
-    # t = -1, theta = 0 the same bits as -x.
+    if isinstance(a, _Distances):
+        return _tiled_sigmoid(a, t, theta)
     x = a.values
     values = np.empty_like(x)
     with np.errstate(over="ignore", under="ignore"):
-        for rows in _row_blocks(x):
-            out = values[rows]
-            np.subtract(x[rows], theta.values, out=out)
-            out *= t.values
-            np.exp(out, out=out)
-            out += 1.0
-            np.reciprocal(out, out=out)
+        _edge_weights(values, x, t, theta)
 
     def adjoint(g: np.ndarray) -> None:
-        dt, dtheta = np.empty(len(g)), np.empty(len(g))
-        for rows in _row_blocks(g):
-            gb, s = g[rows], values[rows]
-            d = np.subtract(1.0, s)
-            d *= s
-            gb *= d
-            # t's gradient reads g before it is scaled, theta's after; d is
-            # reused for theta - x. Scaling by -t gives x's gradient in one
-            # pass and the same bits as scaling by t and negating.
-            np.subtract(theta.values, x[rows], out=d)
-            np.einsum("ij,ij->i", gb, d, out=dt[rows])
-            gb *= -t.values
-            np.add.reduce(gb, axis=1, out=dtheta[rows])
-            del d  # freed before the next block's: two alive ran ~10% slower
+        dt, dtheta = _edge_weight_grads(g, values, x, t, theta)
         if t.requires_grad:
-            _accumulate(t, dt.sum())
+            _accumulate(t, dt)
         if theta.requires_grad:
-            _accumulate(theta, -dtheta.sum())
+            _accumulate(theta, dtheta)
         if a.requires_grad:
             _accumulate(a, g)
 
     return _record(values, "sigmoid", (a, t, theta), adjoint)
+
+
+def _tiled_sigmoid(a: _Distances, t: Tensor, theta: Tensor) -> Tensor:
+    """``sigmoid`` over distances, tile pair by tile pair. The edge weights
+    are the one N x N array it stores. Backward, each tile pair recomputes
+    its distances (a graph of one tile keeps them) and forms the gradient
+    of its unordered pairs, H = G[I, J] + G[J, I].T, from the terms it
+    receives: one product X[I] @ Y[J].T of thin stacks for the factors,
+    and two slices for a dense term. A diagonal tile counts each pair
+    twice, so its t and theta sums are halved. The distances take their
+    gradient contracted, so no N x N gradient is formed."""
+    n = a.shape[0]
+    values = np.empty((n, n))
+    with np.errstate(over="ignore", under="ignore"):
+        for rows, cols, d in a.tile_pairs():
+            # a contiguous tile, then placed: about half the time of
+            # computing in the strided block of ``values``
+            s = np.empty_like(d)
+            _edge_weights(s, d, t, theta)
+            out = values[rows, cols]
+            out[...] = s
+            if rows != cols:
+                values[cols, rows] = out.T
+            del d, s
+
+    def adjoint(terms: list) -> None:
+        g, lefts, rights = None, [], []
+        for term in terms:
+            if type(term) is tuple:
+                lefts.append(term[0])
+                rights.append(term[1])
+            elif g is None:
+                g = term
+            else:
+                g += term
+        if lefts:
+            x, y = np.hstack([*lefts, *rights]), np.hstack([*rights, *lefts])
+        dt = dtheta = 0.0
+
+        def unordered(rows: slice, cols: slice, d: np.ndarray) -> np.ndarray:
+            nonlocal dt, dtheta
+            if lefts:
+                h = x[rows] @ y[cols].T
+                if g is not None:
+                    h += g[rows, cols]
+                    h += g[cols, rows].T
+            else:
+                h = g[rows, cols] + g[cols, rows].T
+            tile_dt, tile_dtheta = _edge_weight_grads(h, values[rows, cols], d, t, theta)
+            share = 0.5 if rows == cols else 1.0
+            dt += share * tile_dt
+            dtheta += share * tile_dtheta
+            return h
+
+        m = a.contract(unordered)
+        if t.requires_grad:
+            _accumulate(t, np.float64(dt))
+        if theta.requires_grad:
+            _accumulate(theta, np.float64(dtheta))
+        if a.requires_grad:
+            if a.grad is None:
+                a.grad = m
+            else:
+                a.grad += m
+
+    return _record(_EdgeWeights(values), "sigmoid", (a, t, theta), adjoint)
 
 
 def tanh(a) -> Tensor:
@@ -414,11 +617,13 @@ def matmul(a, b) -> Tensor:
 
 
 def pairwise_euclidean(e) -> Tensor:
-    """All-pairs Euclidean distances between the rows of ``e``.
+    """All-pairs Euclidean distances between the rows of ``e``, kept lazy.
 
-    The result is exactly symmetric with an exactly zero diagonal. More
-    than ``MAX_GRAPH_NODES`` rows raise ContractError before the N x N
-    result is allocated. The gradient uses the smoothed denominator
+    The result holds the rows and their squared norms; its tiles and its
+    ``values`` are exactly symmetric with an exactly zero diagonal.
+    ``sigmoid`` reads it one tile pair at a time. More than
+    ``MAX_GRAPH_NODES`` rows raise ContractError before anything N x N is
+    allocated. The gradient uses the smoothed denominator
     sqrt(d^2 + DISTANCE_EPS), which defines the derivative at coincident
     points (and on the diagonal) as 0.
     """
@@ -430,42 +635,15 @@ def pairwise_euclidean(e) -> Tensor:
         raise ContractError(
             f"{n} nodes exceeds the dense-adjacency cap of {MAX_GRAPH_NODES} "
             f"(an N x N float64 matrix at N={n} is ~{8 * n * n / 1e9:.1f} GB)")
-    # Exact symmetry by construction: numpy computes v @ v.T for one
-    # contiguous buffer with syrk and mirrors the triangle, and
-    # n_i + n_j == n_j + n_i, so no transposed pass is needed.
-    v = np.ascontiguousarray(e.values)
-    sq_norms = (v * v).sum(axis=1)
-    # the distances are computed inside the Gram buffer; -2 g_ij + (n_i + n_j)
-    # has the same bits as (n_i + n_j) - 2 g_ij
-    values = v @ v.T
-    for rows in _row_blocks(values):
-        gram = values[rows]
-        gram *= -2.0
-        gram += sq_norms[rows, None] + sq_norms[None, :]
-        np.maximum(gram, 0.0, out=gram)
-        np.sqrt(gram, out=gram)
-    np.fill_diagonal(values, 0.0)
+    out = _Distances(e.values)
+    v = out.rows
 
-    def adjoint(g: np.ndarray) -> None:
-        # w = g / sqrt(d^2 + eps), rebuilt from the distances so no squared
-        # distances outlive the forward pass. The diagonal is constant 0 and
-        # has no gradient; zeroed first, it stays 0 under the division.
-        np.fill_diagonal(g, 0.0)
-        for rows in _row_blocks(g):
-            gb, d = g[rows], values[rows]
-            w = np.multiply(d, d)
-            w += DISTANCE_EPS
-            np.sqrt(w, out=w)
-            gb /= w
-            del w  # freed before the next block's, as in sigmoid
-        # d_ij depends on rows i and j alike: pull w and w.T through without
-        # forming w + w.T. The ones column makes each row's degree, the row
-        # plus column sum of w, the last column of the two thin products.
-        v1 = np.hstack([v, np.ones((v.shape[0], 1))])
-        m = g @ v1 + (v1.T @ g).T  # g is N x N, as in matmul
+    def adjoint(m: np.ndarray) -> None:
+        # d_ij depends on rows i and j alike: row i's gradient is
+        # sum_j w_ij (v_i - v_j), the row sum of w times v_i minus w @ v
         _accumulate(e, m[:, -1:] * v - m[:, :-1])
 
-    return _record(values, "pairwise_euclidean", (e,), adjoint)
+    return _record(out, "pairwise_euclidean", (e,), adjoint)
 
 
 def row_normalize(a) -> Tensor:
@@ -477,7 +655,8 @@ def row_normalize(a) -> Tensor:
     Reading the result's ``values`` costs one N x N pass and a fresh N x N
     array each time. The result takes a gradient only as ``matmul``'s left
     operand; any other consumer that would hand it one raises ContractError
-    in the backward pass. Rows must have strictly positive sums; any other
+    in the backward pass. ``sigmoid``'s edge weights take their gradient as
+    thin factors; any other input takes it as one N x N product. Rows must have strictly positive sums; any other
     row, NaN included, raises a NumericalError naming the offending row.
     """
     a = as_tensor(a)
@@ -491,16 +670,20 @@ def row_normalize(a) -> Tensor:
 
     def adjoint(shares: list[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> None:
         # dA = (dP - rowdot(dP, P)) / denom with dP = sum_l G_l @ Y_l.T, as
-        # one product of width w + 1: the last column of ``left``, against a
-        # row of ones, subtracts the row dots, read off the products P @ Y_l
+        # left @ right.T of width w + 1: the last column of ``left``, against
+        # a column of ones, subtracts the row dots, read off the products
+        # P @ Y_l. Edge weights take these factors; any other input takes
+        # their N x N product
         gs, ys, products = zip(*shares)
         row_dots = sum(np.einsum("ij,ij->i", g, p) for g, p in zip(gs, products))
         left = np.hstack([*gs, -row_dots[:, None]])
         left /= denom
-        # C order: the product runs about twice as fast
-        right = np.ascontiguousarray(
-            np.vstack([*(y.T for y in ys), np.ones((1, a.shape[0]))]))
-        _accumulate(a, left @ right)
+        right = np.hstack([*ys, np.ones((a.shape[0], 1))])
+        if isinstance(a, _EdgeWeights):
+            _accumulate(a, (left, right))
+        else:
+            # C order: the product runs about twice as fast
+            _accumulate(a, left @ np.ascontiguousarray(right.T))
 
     return _record(_RowNormalized(a.values, denom), "row_normalize", (a,), adjoint)
 

@@ -76,6 +76,10 @@ def op_checks(seed: int = 0, instances: int = 10) -> dict[str, float]:
         "sum_all": (ad.sum_all, [(4, 4)]),
         "relu": (ad.relu, [(4, 4)]),
         "sigmoid": (ad.sigmoid, [(5, 5), (), ()]),
+        # edge weights over distances, which take a dense gradient here
+        "sigmoid_distances": (
+            lambda e, t, theta: ad.sigmoid(ad.pairwise_euclidean(e), t, theta),
+            [(6, 3), (), ()]),
         "tanh": (ad.tanh, [(4, 4)]),
         "softplus": (ad.softplus, [(4, 4)]),
         "pairwise_euclidean": (ad.pairwise_euclidean, [(6, 3)]),
@@ -84,6 +88,11 @@ def op_checks(seed: int = 0, instances: int = 10) -> dict[str, float]:
             lambda a, y: ad.matmul(ad.row_normalize(ad.sigmoid(a, -1.0, 0.0)), y),
             [(5, 5), (5, 3)]),
         "row_normalize_operator": (_shared_operator, [(5, 5), (5, 3), (3, 2)]),
+        # the model's graph: edge weights over distances take the factors
+        "row_normalize_edge_weights": (
+            lambda e, t, theta, y: ad.matmul(
+                ad.row_normalize(ad.sigmoid(ad.pairwise_euclidean(e), t, theta)), y),
+            [(6, 3), (), (), (6, 2)]),
         "row_softmax_cross_entropy": (
             lambda z: ad.row_softmax_cross_entropy(z, labels, mask), [(6, 3)]),
     }

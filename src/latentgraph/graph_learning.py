@@ -9,8 +9,8 @@ the embedded pairwise distances,
 so edges decay smoothly with embedded distance and the temperature
 sharpens the graph toward a binary one as it grows. Both scalars are
 trained jointly with everything else. The affine map is folded into the
-sigmoid op, so a step records two N x N values here, the distances and
-the edge weights.
+sigmoid op, and the distances are lazy, so a step stores one N x N array
+here, the edge weights.
 """
 
 from __future__ import annotations
@@ -111,10 +111,17 @@ def init_edge_params(initial_embedding) -> EdgeParams:
     if n < 2:
         threshold = 1.0
     else:
-        dists = ad.pairwise_euclidean(values).values
-        # the distances are exactly symmetric, so the median of the upper
-        # triangle is the off-diagonal median, bit for bit
-        upper = np.concatenate([dists[i, i + 1:] for i in range(n - 1)])
+        # the distances are exactly symmetric, so the median of the pairs
+        # above the diagonal, gathered tile pair by tile pair into one
+        # buffer, is the off-diagonal median, bit for bit
+        dists = ad.pairwise_euclidean(values)  # checks the node cap first
+        upper = np.empty(n * (n - 1) // 2)
+        filled = 0
+        for rows, cols, d in dists.tile_pairs():
+            pairs = d[np.triu_indices(len(d), 1)] if rows == cols else d.ravel()
+            upper[filled:filled + pairs.size] = pairs
+            filled += pairs.size
+            del d, pairs  # freed before the next tile is made
         threshold = float(np.median(upper, overwrite_input=True))
     raw_temperature = float(np.log(np.expm1(INITIAL_TEMPERATURE)))
     return EdgeParams(
@@ -128,9 +135,10 @@ def soft_adjacency(embedding, edge: EdgeParams) -> Tensor:
 
     Entry (i, j) is sigmoid(temperature * (threshold - d_ij)) where d_ij
     is the embedded Euclidean distance; one ``ad.sigmoid`` call on the
-    distances and the two edge scalars computes it. The result is exactly
-    symmetric, has every entry strictly inside (0, 1) barring float
-    underflow at extreme saturation, equals sigmoid(temperature *
+    lazy distances and the two edge scalars computes it tile pair by tile
+    pair, so the edge weights are the one N x N value stored. The result
+    is exactly symmetric, has every entry strictly inside (0, 1) barring
+    float underflow at extreme saturation, equals sigmoid(temperature *
     threshold) on the diagonal, and is strictly decreasing in distance.
     ``ad.pairwise_euclidean`` enforces the node cap before allocating.
     """

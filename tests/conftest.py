@@ -8,12 +8,19 @@ from latentgraph.data_io import TabularDataset
 
 
 def zero_fill_backward(loss):
-    """Reference sweep: a zeroed gradient for every tape node up front (an
-    empty list of shares for a ``row_normalize`` output), each adjoint adds
-    into it, and every buffer is kept."""
+    """Reference sweep: a zeroed gradient for every tape node up front, in
+    the form the node takes (an empty list of shares for a
+    ``row_normalize`` output and of terms for edge weights, a zeroed
+    N x (k + 1) contraction for distances), each adjoint adds into it, and
+    every buffer is kept."""
     tape = ad.build_tape(loss)
     for t in tape:
-        t.grad = [] if isinstance(t, ad._RowNormalized) else np.zeros(t.shape)
+        if isinstance(t, (ad._RowNormalized, ad._EdgeWeights)):
+            t.grad = []
+        elif isinstance(t, ad._Distances):
+            t.grad = np.zeros((t.shape[0], t.rows.shape[1] + 1))
+        else:
+            t.grad = np.zeros(t.shape)
     loss.grad = np.ones(())
     for t in reversed(tape):
         if t._adjoint is not None:

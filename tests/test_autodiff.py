@@ -393,28 +393,88 @@ class TestRowBlocks:
         for got, want in zip(grads, expected(weight, *values)):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
 
-    def test_pairwise_adjoint_holds_no_nxn_temporary_in_one_row_blocks(self, monkeypatch):
-        # one row per block is the most blocks an N x N adjoint can take;
-        # its extra memory must stay a few N-vectors, far below one N x N
-        # buffer, however many blocks there are
-        n = 300
-        monkeypatch.setattr(ad, "BLOCK_BYTES", 8 * n)
-        out = ad.pairwise_euclidean(ad.parameter(RNG.normal(size=(n, 3))))
-        g = RNG.normal(size=(n, n))
-        tracemalloc.start()
-        try:
-            out._adjoint(g)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 0.1 * 8 * n * n
-
     def test_blocked_ops_match_finite_differences(self, monkeypatch):
-        # every N x N kernel runs one row per block
+        # every N x N kernel runs one row per block, and the distances and
+        # edge weights in tiles of 4 rows: 6 and 9 nodes leave a ragged tile
         monkeypatch.setattr(ad, "BLOCK_BYTES", 8)
+        monkeypatch.setattr(ad, "TILE", 4)
         for name, err in op_checks(seed=5, instances=3).items():
             assert err < OP_TOLERANCE, f"{name}: {err}"
         assert end_to_end_check(seed=5, instances=2) < END_TO_END_TOLERANCE
+
+
+class TestTilePairs:
+    """``sigmoid`` over distances, tile pair by tile pair, in tiles of 8."""
+
+    TILE = 8
+
+    @pytest.fixture(autouse=True)
+    def small_tiles(self, monkeypatch):
+        monkeypatch.setattr(ad, "TILE", self.TILE)
+
+    @pytest.mark.parametrize("n", [TILE - 1, TILE + 1, 2 * TILE + 3])
+    def test_distances_and_edge_weights_exactly_symmetric(self, n):
+        e = RNG.normal(size=(n, 5)) * 37.1
+        d = ad.pairwise_euclidean(e).values
+        assert np.array_equal(d, d.T)
+        assert np.array_equal(np.diag(d), np.zeros(n))
+        np.testing.assert_allclose(d, pairwise_oracle(e), rtol=1e-12, atol=1e-9)
+        s = ad.sigmoid(ad.pairwise_euclidean(e), 0.05, 40.0).values
+        assert np.array_equal(s, s.T)
+        assert np.array_equal(s, plain_sigmoid(ad.mul(ad.add(d, -40.0), -0.05)).values)
+
+    @pytest.mark.parametrize("gradient", ["dense", "factors"])
+    def test_adjoint_holds_a_few_tiles(self, gradient):
+        # the adjoints of the edge weights and the distances hold a few
+        # tiles and thin N x (k + 1) arrays at 300 nodes in 38 tiles, far
+        # below one N x N buffer
+        n, k = 300, 3
+        e = ad.parameter(RNG.normal(size=(n, k)))
+        distances = ad.pairwise_euclidean(e)
+        out = ad.sigmoid(distances, ad.parameter(np.asarray(1.5)), ad.parameter(np.asarray(2.0)))
+        terms = ([RNG.normal(size=(n, n))] if gradient == "dense" else
+                 [(RNG.normal(size=(n, 9)), RNG.normal(size=(n, 9)))])
+        tracemalloc.start()
+        try:
+            out._adjoint(terms)
+            distances._adjoint(distances.grad)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * (8 * self.TILE ** 2 + 8 * n * (k + 1) + 4 * n * 9)
+        assert peak < 0.25 * 8 * n * n
+
+    def test_same_bits_on_every_run_and_block_size(self, monkeypatch):
+        n = 3 * self.TILE + 5
+        x = RNG.normal(size=(n, 6))
+        y = np.arange(n) % 3
+
+        def gradients():
+            params = gcn.init_model(x, 3, embed_hidden=(5,), embed_dim=3, gc_widths=(4,),
+                                    rng=np.random.default_rng(2))
+            loss = ad.row_softmax_cross_entropy(gcn.forward(x, params), y, np.arange(n))
+            ad.backward(loss)
+            return [loss.values, *(t.grad for t in params.tensors())]
+
+        first = gradients()
+        for block_bytes in (None, 8, 8 * n):
+            if block_bytes is not None:
+                monkeypatch.setattr(ad, "BLOCK_BYTES", block_bytes)
+            assert all(np.array_equal(got, want) for got, want in zip(gradients(), first))
+
+    @pytest.mark.parametrize("n", [TILE - 1, 3 * TILE + 5], ids=["one_tile", "four_tiles"])
+    def test_no_adjoint_holds_its_own_output(self, n):
+        # an adjoint closure that held its output would make a reference
+        # cycle, which keeps each step's tape alive until the collector runs
+        x = RNG.normal(size=(n, 4))
+        params = gcn.init_model(x, 3, embed_hidden=(5,), embed_dim=3, gc_widths=(4, 3),
+                                rng=np.random.default_rng(1))
+        loss = ad.row_softmax_cross_entropy(gcn.forward(x, params), np.arange(n) % 3,
+                                            np.arange(n))
+        recorded = [t for t in ad.build_tape(loss) if t._adjoint is not None]
+        assert {"pairwise_euclidean", "sigmoid", "row_normalize"} <= {t.op for t in recorded}
+        for t in recorded:
+            assert all(cell.cell_contents is not t for cell in t._adjoint.__closure__ or ())
 
 
 def affine_chain(d, t, theta):
@@ -733,6 +793,16 @@ def skew_factors(shares):
     return [(1.01 * g, y, product) for g, y, product in shares]
 
 
+def skew_edge_weight_gradient(g):
+    """A sigmoid's gradient made 1% too large: a dense array, or the terms
+    edge weights over distances receive, whose factors (L, R) stand for
+    L @ R.T."""
+    if not isinstance(g, list):
+        return 1.01 * g
+    return [(1.01 * term[0], term[1]) if isinstance(term, tuple) else 1.01 * term
+            for term in g]
+
+
 class TestGradientCorrectness:
     def test_every_op_matches_finite_differences(self):
         results = op_checks(seed=7, instances=10)
@@ -740,12 +810,15 @@ class TestGradientCorrectness:
             assert err < 1e-4, f"{name}: {err}"
 
     @pytest.mark.parametrize("op, skew, reported, unaffected", [
-        # built on a sigmoid, both row_normalize checks see its skew
-        ("sigmoid", lambda g: 1.01 * g,
-         ["sigmoid", "row_normalize", "row_normalize_operator"], ["matmul"]),
-        # both row_normalize checks hand it their shares through matmuls
+        # built on a sigmoid, every row_normalize check sees its skew; over
+        # distances it skews the factors row_normalize hands it
+        ("sigmoid", skew_edge_weight_gradient,
+         ["sigmoid", "sigmoid_distances", "row_normalize", "row_normalize_operator",
+          "row_normalize_edge_weights"], ["matmul", "pairwise_euclidean"]),
+        # every row_normalize check hands it its shares through matmuls
         ("row_normalize", skew_factors,
-         ["row_normalize", "row_normalize_operator"], ["sigmoid", "matmul"]),
+         ["row_normalize", "row_normalize_operator", "row_normalize_edge_weights"],
+         ["sigmoid", "sigmoid_distances", "matmul"]),
     ], ids=["sigmoid", "row_normalize_factors"])
     def test_wrong_adjoint_is_reported(self, op, skew, reported, unaffected,
                                        monkeypatch):

@@ -98,6 +98,73 @@ def forward_oracle(x, params):
     return h @ params.fc_weight.values + params.fc_bias.values
 
 
+def dense_chain_adjacency(embedding, edge):
+    """``gl.soft_adjacency`` as the dense op chain: ``mul`` reads the
+    distances' values, so ``sigmoid`` and ``row_normalize`` run on dense
+    N x N inputs and hand on dense N x N gradients."""
+    distances = ad.mul(ad.pairwise_euclidean(embedding), 1.0)
+    return ad.sigmoid(distances, edge.temperature(), edge.threshold)
+
+
+def logits_over(adjacency_of, x, embedding, params):
+    """``gcn.forward`` from a given embedding, over ``adjacency_of``'s graph."""
+    operator = ad.row_normalize(adjacency_of(embedding, params.edge))
+    h = x
+    for w in params.gc_weights:
+        h = ad.relu(ad.matmul(operator, ad.matmul(h, w)))
+    return ad.add(ad.matmul(h, params.fc_weight), params.fc_bias)
+
+
+def loss_and_gradients(loss_of, params):
+    loss = loss_of()
+    ad.backward(loss)
+    return loss.item(), [t.grad.copy() for t in params]
+
+
+class TestTilesAgainstTheDenseChain:
+    """In tiles of 8 rows, 30 nodes leave a ragged last tile. The loss and
+    the gradients of the embedding, t, theta and the GC weights, of the
+    model and of the recovery objective, match the dense op chain."""
+
+    N = 30
+
+    @pytest.fixture(autouse=True)
+    def small_tiles(self, monkeypatch):
+        monkeypatch.setattr(ad, "TILE", 8)
+
+    def assert_matches_the_dense_chain(self, loss_over, tensors):
+        tiled, tiled_grads = loss_and_gradients(lambda: loss_over(gl.soft_adjacency), tensors)
+        dense, dense_grads = loss_and_gradients(
+            lambda: loss_over(dense_chain_adjacency), tensors)
+        assert tiled == pytest.approx(dense, rel=1e-12)
+        for got, want in zip(tiled_grads, dense_grads):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    def test_model(self):
+        x, params = init_small_model(seed=21, n_nodes=self.N)
+        np.testing.assert_allclose(gcn.forward(x, params).values, forward_oracle(x, params),
+                                   rtol=1e-12, atol=1e-12)
+        embedding = ad.parameter(gl.embed(x, params.embedder).values)
+        y, mask = np.arange(self.N) % 3, np.arange(25)
+        self.assert_matches_the_dense_chain(
+            lambda adjacency_of: ad.row_softmax_cross_entropy(
+                logits_over(adjacency_of, x, embedding, params), y, mask),
+            [embedding, *params.edge.tensors(), *params.gc_weights])
+
+    def test_recovery_objective(self):
+        rng = np.random.default_rng(22)
+        embedding = ad.parameter(rng.normal(size=(self.N, 4)))
+        edge = gl.init_edge_params(embedding.values)
+        targets = (rng.random((self.N, self.N)) < 0.3).astype(float)
+        off_diag = 1.0 - np.eye(self.N)
+
+        def objective(adjacency_of):
+            residual = ad.mul(ad.add(adjacency_of(embedding, edge), -targets), off_diag)
+            return ad.sum_all(ad.mul(residual, residual))
+
+        self.assert_matches_the_dense_chain(objective, [embedding, *edge.tensors()])
+
+
 class TestInitModel:
     def test_records_no_op(self, monkeypatch):
         # the edge scalars are calibrated on the initial embedding's values,
@@ -199,8 +266,9 @@ class TestBackwardSweep:
     def test_interior_grads_released_and_parameter_grads_match_zero_fill(
             self, graph, one_row_blocks, monkeypatch):
         n = 10
-        if one_row_blocks:  # every N x N kernel runs row by row
+        if one_row_blocks:  # every N x N kernel runs row by row or in tiles of 4
             monkeypatch.setattr(ad, "BLOCK_BYTES", 8 * n)
+            monkeypatch.setattr(ad, "TILE", 4)
         x = np.random.default_rng(6).normal(size=(n, 4))
         params = gcn.init_model(x, 3, embed_hidden=() if graph == "learned_no_hidden" else (6,),
                                 embed_dim=3, gc_widths=(5, 4), rng=np.random.default_rng(7),

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -106,12 +108,31 @@ class TestInitEdgeParams:
         params = gl.init_edge_params(e)
         assert abs(params.threshold.values - expected) < 1e-12
 
-    @pytest.mark.parametrize("n", [5, 6], ids=["even_pairs", "odd_pairs"])
-    def test_threshold_has_the_bits_of_the_off_diagonal_median(self, n):
+    @pytest.mark.parametrize("n, tile", [(5, None), (6, None), (300, 16)],
+                             ids=["even_pairs", "odd_pairs", "tiles_of_16"])
+    def test_threshold_has_the_bits_of_the_off_diagonal_median(self, n, tile, monkeypatch):
+        # gathered from the tile pairs, the median is that of the formed D
+        if tile is not None:
+            monkeypatch.setattr(ad, "TILE", tile)
         e = RNG.normal(size=(n, 3))
         dists = ad.pairwise_euclidean(e).values
         expected = np.median(dists[~np.eye(n, dtype=bool)])
         assert gl.init_edge_params(e).threshold.values.tobytes() == expected.tobytes()
+
+    def test_peak_memory_is_about_half_an_nxn_buffer(self, monkeypatch):
+        # the N (N - 1) / 2 distances above the diagonal, not D; in 16-row
+        # tiles, so that a tile is as small beside N x N at N=400 as a
+        # 128-row tile is at N=2000
+        monkeypatch.setattr(ad, "TILE", 16)
+        n = 400
+        e = RNG.normal(size=(n, 16))
+        tracemalloc.start()
+        try:
+            gl.init_edge_params(e)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.6 * 8 * n * n
 
     def test_single_row_defaults_to_one(self):
         params = gl.init_edge_params(np.zeros((1, 3)))
