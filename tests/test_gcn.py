@@ -101,7 +101,9 @@ def forward_oracle(x, params):
 def dense_chain_adjacency(embedding, edge):
     """``gl.soft_adjacency`` as the dense op chain: ``mul`` reads the
     distances' values, so ``sigmoid`` and ``row_normalize`` run on dense
-    N x N inputs and hand on dense N x N gradients."""
+    N x N inputs and hand on dense N x N gradients. The distances contract
+    theirs as the tiles do; ``pairwise_gradient`` in test_autodiff checks
+    that contraction against its closed form."""
     distances = ad.mul(ad.pairwise_euclidean(embedding), 1.0)
     return ad.sigmoid(distances, edge.temperature(), edge.threshold)
 
