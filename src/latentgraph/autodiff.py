@@ -47,20 +47,17 @@ DISTANCE_EPS = 1e-12
 
 # Most rows ``pairwise_euclidean`` takes: one N x N float64 matrix is 8 N^2
 # bytes (3.2 GB at the cap), and a training step peaks at 1.1 of them,
-# ``evaluate`` and the kNN baseline at 1.0 and threshold calibration at 0.5
-# (tracemalloc, N=2000), per fold worker process. It bounds the matrix size
-# only; it does not check available memory.
+# ``evaluate`` at 1.0, the kNN baseline at 1.07 and threshold calibration at
+# 0.5 (tracemalloc, N=2000), per fold worker process. It bounds the matrix
+# size only; it does not check available memory.
 MAX_GRAPH_NODES = 20_000
 
-# Rows per tile of the distances and edge weights. Each tile pair's
-# temporaries stay in cache. In one-process A/B training steps on a 2-vCPU
-# host, tiles of 64 and 256 rows ran 4% and 35% slower at N=300 and 24%
-# and 2% slower at N=2000; 96 and 192 rows ran no faster.
+# Rows per tile of the distances and edge weights, and per block of the
+# kNN baseline's sort. Each tile pair's temporaries stay in cache. In
+# one-process A/B training steps on a 2-vCPU host, tiles of 64 and 256 rows
+# ran 4% and 35% slower at N=300 and 24% and 2% slower at N=2000; 96 and
+# 192 rows ran no faster.
 TILE = 128
-
-# The kNN baseline sorts row blocks of about this many bytes of distances
-# at a time.
-BLOCK_BYTES = 1 << 18
 
 # False inside ``no_grad``: no op is recorded.
 _recording = True
@@ -346,15 +343,6 @@ def _accumulate(t: Tensor, g) -> None:
         t.grad = g
     else:
         t.grad += g
-
-
-def _row_blocks(a: np.ndarray) -> list:
-    """Index of each row block of ``a``, about ``BLOCK_BYTES`` each, in row
-    order; ``[...]`` when ``a`` fits in one block, as a 0-d array always does."""
-    if a.nbytes <= BLOCK_BYTES:
-        return [...]
-    step = max(1, BLOCK_BYTES // a[0].nbytes)
-    return [slice(i, i + step) for i in range(0, a.shape[0], step)]
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -648,16 +636,19 @@ def pairwise_euclidean(e) -> Tensor:
 
 def row_normalize(a) -> Tensor:
     """Divide each row by its sum; whenever no error is raised, every row
-    of the result sums to 1.
+    of the result sums to 1. Rows must have strictly positive sums; any
+    other row, NaN included, raises a NumericalError naming the offending
+    row.
 
     Only the row sums are computed: the result keeps ``a`` and them, and
     ``matmul`` multiplies through both, so P itself is never stored.
     Reading the result's ``values`` costs one N x N pass and a fresh N x N
-    array each time. The result takes a gradient only as ``matmul``'s left
-    operand; any other consumer that would hand it one raises ContractError
-    in the backward pass. ``sigmoid``'s edge weights take their gradient as
-    thin factors; any other input takes it as one N x N product. Rows must have strictly positive sums; any other
-    row, NaN included, raises a NumericalError naming the offending row.
+    array each time.
+
+    The result takes a gradient only as ``matmul``'s left operand; any
+    other consumer that would hand it one raises ContractError in the
+    backward pass. ``sigmoid``'s edge weights take their gradient as thin
+    factors; any other input takes it as one N x N product.
     """
     a = as_tensor(a)
     if a.values.ndim != 2:

@@ -456,12 +456,12 @@ def knn_adjacency(features: np.ndarray, k_neighbors: int) -> np.ndarray:
         raise ContractError(f"need 0 < k_neighbors < {n}, got {k_neighbors}")
     dists = ad.pairwise_euclidean(features).values
     np.fill_diagonal(dists, np.inf)
-    # a stable sort's first k per row, copied out of one row block's sort at
-    # a time; the graph then goes into the distance buffer, so no second
+    # a stable sort's first k per row, copied out of one ``TILE``-row sort
+    # at a time; the graph then goes into the distance buffer, so no second
     # N x N is formed
     cols = np.concatenate([
-        np.argsort(dists[block], axis=1, kind="stable")[:, :k_neighbors].copy()
-        for block in ad._row_blocks(dists)]).ravel()
+        np.argsort(dists[i:i + ad.TILE], axis=1, kind="stable")[:, :k_neighbors].copy()
+        for i in range(0, n, ad.TILE)]).ravel()
     rows = np.repeat(np.arange(n), k_neighbors)
     dists.fill(0.0)
     dists[rows, cols] = dists[cols, rows] = 1.0

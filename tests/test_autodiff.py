@@ -313,61 +313,14 @@ def forward_and_gradients(op, values, weight):
     return out.values, [p.grad for p in params]
 
 
-class TestRowBlocks:
-    """With ``BLOCK_BYTES`` cut to one row, every blocked N x N kernel must
-    give exactly its one-block result."""
+class TestSmallTiles:
+    """The N x N kernels in tiles of a few rows: each gradient matches its
+    closed form or finite differences, and errors name the right row."""
 
     N = 9
 
-    @pytest.fixture
-    def one_row_blocks(self, monkeypatch):
-        monkeypatch.setattr(ad, "BLOCK_BYTES", 8 * self.N)
-
-    def test_blocks_cover_every_row_once_in_order(self, one_row_blocks):
-        a, b = RNG.normal(size=(self.N, self.N)), RNG.normal(size=(self.N, 2))
-        blocks = ad._row_blocks(a)
-        assert len(blocks) == self.N
-        assert np.array_equal(np.vstack([a[rows] for rows in blocks]), a)
-        assert np.array_equal(np.vstack([b[rows] for rows in blocks]), b)
-
-    def test_array_of_one_block_is_passed_whole(self):
-        for a in (RNG.normal(size=(self.N, self.N)), np.asarray(1.5)):
-            assert ad._row_blocks(a) == [...]
-
-    # four rows per block leave N = 9 a last block of one; a reduction
-    # summed block by block differs in the last bits on most inputs
-    @pytest.mark.parametrize("op, shapes, rows_per_block, inputs", [
-        (ad.pairwise_euclidean, [(N, 4)], 1, 1),
-        (plain_sigmoid, [(N, N)], 1, 1),
-        (ad.sigmoid, [(N, N), (), ()], 1, 20),
-        (graph_conv, [(N, N)], 1, 1),
-        (ad.pairwise_euclidean, [(N, 4)], 4, 20),
-        (plain_sigmoid, [(N, N)], 4, 1),
-        (ad.sigmoid, [(N, N), (), ()], 4, 20),
-        (graph_conv, [(N, N)], 4, 1),
-    ], ids=["pairwise_euclidean", "sigmoid", "sigmoid-parameter_t_theta", "row_normalize",
-            "pairwise_euclidean-four_row_blocks", "sigmoid-four_row_blocks",
-            "sigmoid-parameter_t_theta-four_row_blocks", "row_normalize-four_row_blocks"])
-    def test_forward_and_adjoint_equal_one_block(self, op, shapes, rows_per_block,
-                                                 inputs, monkeypatch):
-        for _ in range(inputs):
-            values = [RNG.uniform(-2.0, 2.0, size=s) for s in shapes]
-            weight = RNG.normal(size=(self.N, self.N))
-            whole, whole_grads = forward_and_gradients(op, values, weight)
-            with monkeypatch.context() as m:
-                m.setattr(ad, "BLOCK_BYTES", 8 * self.N * rows_per_block)
-                blocked, blocked_grads = forward_and_gradients(op, values, weight)
-            assert np.array_equal(blocked, whole)
-            for got, want in zip(blocked_grads, whole_grads):
-                assert np.array_equal(got, want)
-
-    def test_blocked_distances_exactly_symmetric_with_zero_diagonal(self, one_row_blocks):
-        d = ad.pairwise_euclidean(RNG.normal(size=(self.N, 5))).values
-        assert np.array_equal(d, d.T)
-        assert np.array_equal(np.diag(d), np.zeros(self.N))
-
     @pytest.mark.filterwarnings("error")
-    def test_row_normalize_names_a_row_in_a_later_block(self, one_row_blocks):
+    def test_row_normalize_names_a_later_row(self):
         a = RNG.uniform(0.5, 1.0, size=(self.N, self.N))
         a[6] = 0.0
         with pytest.raises(NumericalError, match="row 6 "):
@@ -383,20 +336,20 @@ class TestRowBlocks:
          lambda w, a, b, c: [w @ (b + c).T, a.T @ w, a.T @ w]),
     ], ids=["add_scalar", "add_scalar_right", "mul_scalar", "mul_scalar_right",
             "pairwise_euclidean", "matmul_two_contributions"])
-    def test_adjoints_match_closed_forms_in_multi_row_blocks(self, op, shapes, expected,
-                                                              monkeypatch):
-        # three rows per block: a partial sum or product per block
-        monkeypatch.setattr(ad, "BLOCK_BYTES", 8 * self.N * 3)
+    def test_adjoints_match_closed_forms_in_multi_row_tiles(self, op, shapes, expected,
+                                                             monkeypatch):
+        # three rows per tile: the distance adjoint contracts 9 nodes over
+        # six tile pairs
+        monkeypatch.setattr(ad, "TILE", 3)
         values = [RNG.uniform(-1.0, 1.0, size=s) for s in shapes]
         weight = RNG.normal(size=op(*values).shape)
         _, grads = forward_and_gradients(op, values, weight)
         for got, want in zip(grads, expected(weight, *values)):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
 
-    def test_blocked_ops_match_finite_differences(self, monkeypatch):
-        # every N x N kernel runs one row per block, and the distances and
-        # edge weights in tiles of 4 rows: 6 and 9 nodes leave a ragged tile
-        monkeypatch.setattr(ad, "BLOCK_BYTES", 8)
+    def test_tiled_ops_match_finite_differences(self, monkeypatch):
+        # the distances and edge weights in tiles of 4 rows: 6 and 9 nodes
+        # leave a ragged tile
         monkeypatch.setattr(ad, "TILE", 4)
         for name, err in op_checks(seed=5, instances=3).items():
             assert err < OP_TOLERANCE, f"{name}: {err}"
@@ -444,7 +397,7 @@ class TestTilePairs:
         assert peak < 8 * (8 * self.TILE ** 2 + 8 * n * (k + 1) + 4 * n * 9)
         assert peak < 0.25 * 8 * n * n
 
-    def test_same_bits_on_every_run_and_block_size(self, monkeypatch):
+    def test_same_bits_on_every_run(self):
         n = 3 * self.TILE + 5
         x = RNG.normal(size=(n, 6))
         y = np.arange(n) % 3
@@ -457,10 +410,7 @@ class TestTilePairs:
             return [loss.values, *(t.grad for t in params.tensors())]
 
         first = gradients()
-        for block_bytes in (None, 8, 8 * n):
-            if block_bytes is not None:
-                monkeypatch.setattr(ad, "BLOCK_BYTES", block_bytes)
-            assert all(np.array_equal(got, want) for got, want in zip(gradients(), first))
+        assert all(np.array_equal(got, want) for got, want in zip(gradients(), first))
 
     @pytest.mark.parametrize("n", [TILE - 1, 3 * TILE + 5], ids=["one_tile", "four_tiles"])
     def test_no_adjoint_holds_its_own_output(self, n):
@@ -492,11 +442,7 @@ class TestAffineSigmoid:
         d = ad.pairwise_euclidean(RNG.normal(size=(self.N, 3))).values
         return [d, np.asarray(1.7), np.asarray(0.9 * np.median(d))]
 
-    @pytest.mark.parametrize("rows_per_block", [None, 1, 4],
-                             ids=["one_block", "one_row_blocks", "four_row_blocks"])
-    def test_matches_the_reference_chain(self, rows_per_block, monkeypatch):
-        if rows_per_block is not None:
-            monkeypatch.setattr(ad, "BLOCK_BYTES", 8 * self.N * rows_per_block)
+    def test_matches_the_reference_chain(self):
         values = self.inputs()
         weight = RNG.normal(size=(self.N, self.N))
         fused, fused_grads = forward_and_gradients(ad.sigmoid, values, weight)
@@ -642,11 +588,8 @@ class TestGradientBuffers:
         (lambda w: ad.mul(w, w), [(N, N)], lambda w, p: [2.0 * w * p]),
     ], ids=["add", "add_scalar", "add_scalar_right", "mul", "mul_scalar",
             "mul_scalar_right", "mul_self"])
-    def test_gradients_are_owned_and_match_zero_fill(self, op, shapes, expected,
-                                                      monkeypatch):
-        # the op feeds the blocked sigmoid kernel, one row per block, and
-        # the graph operator
-        monkeypatch.setattr(ad, "BLOCK_BYTES", 8 * self.N)
+    def test_gradients_are_owned_and_match_zero_fill(self, op, shapes, expected):
+        # the op feeds the sigmoid kernel and the graph operator
         values = [RNG.uniform(-1.0, 1.0, size=s) for s in shapes]
         weight = RNG.normal(size=(self.N, self.N))
         params = [ad.parameter(v.copy()) for v in values]

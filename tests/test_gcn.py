@@ -262,14 +262,13 @@ class TestConstantInputs:
 
 
 class TestBackwardSweep:
-    @pytest.mark.parametrize("graph, one_row_blocks", [
-        pytest.param(graph, one_row, id=graph + ("-one_row_blocks" if one_row else ""))
-        for graph in ["learned", "learned_no_hidden", "static"] for one_row in [False, True]])
+    @pytest.mark.parametrize("graph, small_tiles", [
+        pytest.param(graph, small, id=graph + ("-tiles_of_4" if small else ""))
+        for graph in ["learned", "learned_no_hidden", "static"] for small in [False, True]])
     def test_interior_grads_released_and_parameter_grads_match_zero_fill(
-            self, graph, one_row_blocks, monkeypatch):
+            self, graph, small_tiles, monkeypatch):
         n = 10
-        if one_row_blocks:  # every N x N kernel runs row by row or in tiles of 4
-            monkeypatch.setattr(ad, "BLOCK_BYTES", 8 * n)
+        if small_tiles:  # the N x N kernels run in tiles of 4 rows
             monkeypatch.setattr(ad, "TILE", 4)
         x = np.random.default_rng(6).normal(size=(n, 4))
         params = gcn.init_model(x, 3, embed_hidden=() if graph == "learned_no_hidden" else (6,),

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -37,6 +38,36 @@ def test_failing_property_test_does_not_abort_the_run(tmp_path):
         cwd=tmp_path, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 1, (proc.stdout + proc.stderr)[-600:]
     assert "1 failed, 1 passed" in proc.stdout
+
+
+# every test that bounds a tracemalloc peak, by node id under tests/
+MEMORY_TESTS = [
+    "test_autodiff.py::TestTilePairs::test_adjoint_holds_a_few_tiles[dense]",
+    "test_autodiff.py::TestTilePairs::test_adjoint_holds_a_few_tiles[factors]",
+    "test_graph_learning.py::TestInitEdgeParams::test_peak_memory_is_about_half_an_nxn_buffer",
+    "test_training.py::TestTrain::test_training_step_holds_at_most_nine_nxn_buffers",
+    "test_training.py::TestTrain::test_backward_forms_no_nxn_temporary",
+    "test_training.py::TestEvaluate::test_peak_memory_is_about_one_nxn_buffer",
+    "test_training.py::TestKnnBaseline::test_peak_memory_is_about_one_nxn_buffer",
+    "test_training.py::TestNodeCap::test_raises_before_the_first_nxn_buffer[train]",
+    "test_training.py::TestNodeCap::test_raises_before_the_first_nxn_buffer[knn_adjacency]",
+]
+
+
+def test_memory_tests_pass_when_run_alone():
+    # in the suite an earlier test may already have paid a lazy import (or
+    # any other one-off allocation) that a test run alone pays inside its
+    # traced window; two processes at a time
+    def run_alone(node_id):
+        return subprocess.run(
+            [sys.executable, "-m", "pytest", "-p", "no:cacheprovider", "-q", f"tests/{node_id}"],
+            cwd=ROOT, capture_output=True, text=True, timeout=300)
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        procs = list(pool.map(run_alone, MEMORY_TESTS))
+    failed = {node_id: proc.stdout[-600:] for node_id, proc in zip(MEMORY_TESTS, procs)
+              if proc.returncode != 0}
+    assert not failed, failed
 
 
 def run_console_entry_point(*args, cwd):

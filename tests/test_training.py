@@ -312,20 +312,6 @@ class TestTrain:
         assert [(r.loss, r.train_acc) for r in h1] == \
                [(r.loss, r.train_acc) for r in h2]
 
-    def test_block_size_changes_no_bit(self, monkeypatch):
-        # BLOCK_BYTES tunes speed only: at N = 300, 4 KiB runs every N x N
-        # kernel one row per block, 1 MiB and up in one block
-        dataset = synthetic.make_classification_dataset(seed=0)
-        cfg = tr.TrainConfig(seed=0, epochs=5)
-        runs = []
-        for block_bytes in (1 << 12, 1 << 16, 1 << 20, 1 << 24):
-            monkeypatch.setattr(ad, "BLOCK_BYTES", block_bytes)
-            params, history = tr.train(dataset, cfg, train_mask=np.arange(0, 300, 2))
-            runs.append(([r.loss for r in history], [t.values for t in params.tensors()]))
-        for losses, values in runs[1:]:
-            assert losses == runs[0][0]
-            assert all(np.array_equal(got, want) for got, want in zip(values, runs[0][1]))
-
     def test_single_class_mask_rejected(self, blobs):
         cfg = tr.TrainConfig(seed=0, **FAST)
         only_zero = np.flatnonzero(blobs.y == 0)
@@ -720,11 +706,11 @@ class TestKnnBaseline:
         x = np.repeat(RNG.normal(size=(10, 4)), 3, axis=0)[RNG.permutation(30)]
         assert np.array_equal(tr.knn_adjacency(x, k), stable_sort_knn(x, k))
 
-    @pytest.mark.parametrize("rows_per_block", [1, 4])
-    def test_row_blocks_pick_neighbours_as_a_stable_sort(self, rows_per_block,
-                                                         monkeypatch):
+    @pytest.mark.parametrize("tile", [1, 4])
+    def test_tiles_pick_neighbours_as_a_stable_sort(self, tile, monkeypatch):
+        # the sort runs in blocks of TILE rows
         n = 30
-        monkeypatch.setattr(ad, "BLOCK_BYTES", 8 * n * rows_per_block)
+        monkeypatch.setattr(ad, "TILE", tile)
         x = RNG.integers(0, 3, size=(n, 3)).astype(float)
         for k in (1, 4, 29):
             assert np.array_equal(tr.knn_adjacency(x, k), stable_sort_knn(x, k))
