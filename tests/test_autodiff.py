@@ -304,6 +304,25 @@ def pairwise_gradient(w, e):
     return [(s[:, :, None] * diff).sum(axis=1)]
 
 
+def edge_weights(e, t, theta):
+    """A learned graph's edge weights, computed tile pair by tile pair."""
+    return ad.sigmoid(ad.pairwise_euclidean(e), t, theta)
+
+
+def learned_graph_conv(e, t, theta):
+    """The learned graph operator read as the GCN reads it: the edge
+    weights take their gradient as thin factors."""
+    y = np.random.default_rng(0).normal(size=(len(e.values), len(e.values)))
+    return ad.matmul(ad.row_normalize(edge_weights(e, t, theta)), y)
+
+
+def edge_weights_with_two_terms(e, t, theta):
+    """Edge weights that take a dense gradient term and factors alike."""
+    s = edge_weights(e, t, theta)
+    y = np.random.default_rng(0).normal(size=s.shape)
+    return ad.add(s, ad.matmul(ad.row_normalize(s), y))
+
+
 def forward_and_gradients(op, values, weight):
     """Output of ``op`` on fresh parameters, and their gradients under the
     loss sum(op(...) * weight)."""
@@ -318,6 +337,39 @@ class TestSmallTiles:
     closed form or finite differences, and errors name the right row."""
 
     N = 9
+
+    # one-row tiles leave every diagonal tile 1 x 1; four-row tiles leave
+    # N = 9 a last tile of one. The tiles change the last bits only
+    @pytest.mark.parametrize("op, shapes, tile", [
+        (ad.pairwise_euclidean, [(N, 4)], 1),
+        (edge_weights, [(N, 4), (), ()], 1),
+        (learned_graph_conv, [(N, 4), (), ()], 1),
+        (edge_weights_with_two_terms, [(N, 4), (), ()], 1),
+        (ad.pairwise_euclidean, [(N, 4)], 4),
+        (edge_weights, [(N, 4), (), ()], 4),
+        (learned_graph_conv, [(N, 4), (), ()], 4),
+        (edge_weights_with_two_terms, [(N, 4), (), ()], 4),
+    ], ids=["pairwise_euclidean", "edge_weights", "learned_graph_conv",
+            "edge_weights_with_two_terms", "pairwise_euclidean-four_row_tiles",
+            "edge_weights-four_row_tiles", "learned_graph_conv-four_row_tiles",
+            "edge_weights_with_two_terms-four_row_tiles"])
+    def test_forward_and_adjoint_match_one_tile(self, op, shapes, tile, monkeypatch):
+        for _ in range(20):
+            values = [RNG.uniform(-2.0, 2.0, size=s) for s in shapes]
+            weight = RNG.normal(size=(self.N, self.N))
+            whole, whole_grads = forward_and_gradients(op, values, weight)
+            with monkeypatch.context() as m:
+                m.setattr(ad, "TILE", tile)
+                tiled, tiled_grads = forward_and_gradients(op, values, weight)
+            for got, want in zip([tiled, *tiled_grads], [whole, *whole_grads]):
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
+
+    def test_one_row_tiles_exactly_symmetric_with_zero_diagonal(self, monkeypatch):
+        monkeypatch.setattr(ad, "TILE", 1)
+        e = RNG.normal(size=(self.N, 5))
+        for out in (ad.pairwise_euclidean(e), edge_weights(e, 1.5, 2.0)):
+            assert np.array_equal(out.values, out.values.T)
+        assert np.array_equal(np.diag(ad.pairwise_euclidean(e).values), np.zeros(self.N))
 
     @pytest.mark.filterwarnings("error")
     def test_row_normalize_names_a_later_row(self):
@@ -442,11 +494,22 @@ class TestAffineSigmoid:
         d = ad.pairwise_euclidean(RNG.normal(size=(self.N, 3))).values
         return [d, np.asarray(1.7), np.asarray(0.9 * np.median(d))]
 
-    def test_matches_the_reference_chain(self):
-        values = self.inputs()
+    # the dense matrix of distances, or the lazy distances of the rows
+    # themselves in tiles of N, 4 and 1 rows
+    @pytest.mark.parametrize("tile", [None, N, 4, 1],
+                             ids=["dense", "one_tile", "four_row_tiles", "one_row_tiles"])
+    def test_matches_the_reference_chain(self, tile, monkeypatch):
+        values, distances = self.inputs(), ad.as_tensor
+        if tile is not None:
+            # rows drawn as ``inputs`` draws them, so theta stays near the
+            # median distance
+            monkeypatch.setattr(ad, "TILE", tile)
+            values[0], distances = RNG.normal(size=(self.N, 3)), ad.pairwise_euclidean
         weight = RNG.normal(size=(self.N, self.N))
-        fused, fused_grads = forward_and_gradients(ad.sigmoid, values, weight)
-        chain, chain_grads = forward_and_gradients(affine_chain, values, weight)
+        fused, fused_grads = forward_and_gradients(
+            lambda x, t, theta: ad.sigmoid(distances(x), t, theta), values, weight)
+        chain, chain_grads = forward_and_gradients(
+            lambda x, t, theta: affine_chain(distances(x), t, theta), values, weight)
         assert np.array_equal(fused, chain)
         for got, want in zip(fused_grads, chain_grads):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)

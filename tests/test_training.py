@@ -312,6 +312,23 @@ class TestTrain:
         assert [(r.loss, r.train_acc) for r in h1] == \
                [(r.loss, r.train_acc) for r in h2]
 
+    def test_tile_size_changes_only_the_last_bits(self, monkeypatch):
+        # at N = 300, tiles of 16 rows make 190 tile pairs, 128 rows 6 and
+        # 512 rows one tile. Adam scales a gradient that rounding alone sets
+        # up to a step of its own, so the weights agree less closely than
+        # the losses
+        dataset = synthetic.make_classification_dataset(seed=0)
+        cfg = tr.TrainConfig(seed=0, epochs=5)
+        runs = []
+        for tile in (16, 128, 512):
+            monkeypatch.setattr(ad, "TILE", tile)
+            params, history = tr.train(dataset, cfg, train_mask=np.arange(0, 300, 2))
+            runs.append(([r.loss for r in history], [t.values for t in params.tensors()]))
+        for losses, values in runs[1:]:
+            np.testing.assert_allclose(losses, runs[0][0], rtol=1e-12, atol=0.0)
+            for got, want in zip(values, runs[0][1]):
+                np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-9)
+
     def test_single_class_mask_rejected(self, blobs):
         cfg = tr.TrainConfig(seed=0, **FAST)
         only_zero = np.flatnonzero(blobs.y == 0)
