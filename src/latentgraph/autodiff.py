@@ -17,19 +17,23 @@ Every N x N path starts at ``pairwise_euclidean``, which alone enforces
 and their norms, and ``sigmoid`` computes the learned graph's edge weights
 from them once per pair of ``TILE``-row blocks, so the edge weights are
 the one N x N array a learned graph stores. ``row_normalize`` keeps only
-its input's row sums, and the matmuls that read the normalized operator
-multiply through the input and those sums, so the operator is never
-formed. It takes a gradient only as ``matmul``'s left operand: each such
-matmul hands it its share as thin factors, and any other consumer of its
-gradient raises ContractError. ``row_normalize`` hands the edge weights
-their gradient as thin factors in turn, and ``sigmoid``'s adjoint walks
-the tile pairs again, recomputing the distances, so no N x N gradient is
-formed and the distances' gradient arrives contracted to N x (k + 1).
-Results depend on ``TILE`` in their last bits; two runs give the same
-bits. The engine is deliberately small; it supports exactly the
-operations the graph-learning models need, all in double precision so
-that gradients can be validated against central finite differences to
-tight tolerances.
+its input's row sums, and the matmuls that read the normalized operator P
+multiply through the input and those sums, so P is never formed.
+
+Each lazy N x N output takes its input and its gradient in one form, the
+model's: distances only through ``sigmoid``, edge weights into
+``row_normalize``, P only as ``matmul``'s left operand. Each matmul hands
+P its share as thin factors, ``row_normalize`` hands them on to the edge
+weights, which also take a dense gradient from an elementwise consumer
+(the recovery objective), and ``sigmoid``'s adjoint walks the tile pairs
+again, so no N x N gradient is formed and the distances' gradient
+arrives contracted to N x (k + 1). Any other input or consumer that
+needs a gradient raises ContractError. Results depend on ``TILE`` in
+their last bits; two runs give the same bits.
+
+The engine is deliberately small; it supports exactly the operations the
+graph-learning models need, all in double precision so that gradients
+can be validated against central finite differences to tight tolerances.
 """
 
 from __future__ import annotations
@@ -46,9 +50,9 @@ from .errors import ContractError, DimensionError, NumericalError
 DISTANCE_EPS = 1e-12
 
 # Most rows ``pairwise_euclidean`` takes: one N x N float64 matrix is 8 N^2
-# bytes (3.2 GB at the cap), and a training step peaks at 1.1 of them,
-# ``evaluate`` at 1.0, the kNN baseline at 1.07 and threshold calibration at
-# 0.5 (tracemalloc, N=2000), per fold worker process. It bounds the matrix
+# bytes (3.2 GB at the cap), and a training step peaks at 1.18 of them,
+# ``evaluate`` at 1.03, the kNN baseline at 1.07 and threshold calibration
+# at 0.51 (tracemalloc, N=2000), per fold worker process. It bounds the matrix
 # size only; it does not check available memory.
 MAX_GRAPH_NODES = 20_000
 
@@ -151,10 +155,10 @@ class _Distances(Tensor):
     the rows and their squared norms. ``tile_pairs`` computes D one pair
     of ``TILE``-row blocks at a time, and reading ``values`` forms D anew
     from them each time. A graph of at most ``TILE`` rows keeps its one
-    tile. Its ``grad`` is contracted (see ``contract``): the N x (k + 1)
-    matrix [W v, W 1], where W is the symmetric gradient of the unordered
-    distances divided by sqrt(d^2 + DISTANCE_EPS); a dense N x N gradient
-    is contracted on arrival."""
+    tile. Only ``sigmoid`` hands it a gradient, contracted to the
+    N x (k + 1) matrix [W v, W 1], where W is the symmetric gradient of the
+    unordered distances divided by sqrt(d^2 + DISTANCE_EPS); any other
+    consumer of its gradient raises ContractError."""
 
     __slots__ = ("rows", "sq_norms", "tile")
 
@@ -214,37 +218,13 @@ class _Distances(Tensor):
                 cols = slice(j, j + TILE)
                 yield rows, cols, self._tile(rows, cols)
 
-    def contract(self, unordered: Callable[[slice, slice, np.ndarray], np.ndarray]
-                 ) -> np.ndarray:
-        """The contracted gradient [W v, W 1], tile pair by tile pair:
-        ``unordered(I, J, D[I, J])`` returns the gradient of the tile's
-        unordered distances as a fresh array, and W is that over
-        sqrt(d^2 + DISTANCE_EPS), 0 on the diagonal, where D is constant."""
-        n, k = self.rows.shape
-        v1 = np.empty((n, k + 1))
-        v1[:, :k] = self.rows
-        v1[:, k] = 1.0
-        m = np.zeros_like(v1)
-        for rows, cols, d in self.tile_pairs():
-            w = unordered(rows, cols, d)
-            q = np.multiply(d, d)
-            q += DISTANCE_EPS
-            np.sqrt(q, out=q)
-            w /= q
-            del q
-            if rows == cols:
-                w.ravel()[::len(w) + 1] = 0.0
-            else:
-                m[cols] += w.T @ v1[rows]
-            m[rows] += w @ v1[cols]
-            del w, d
-        return m
-
 
 class _EdgeWeights(Tensor):
-    """The output of ``sigmoid`` over distances. Its ``grad`` is a list of
-    terms: a dense N x N gradient, or the factors (L, R) of the gradient
-    L @ R.T that ``row_normalize`` hands it."""
+    """The output of ``sigmoid``, and the one input for which
+    ``row_normalize`` takes a gradient. Its ``grad`` is a list of terms: a
+    dense N x N gradient from any elementwise consumer, as the recovery
+    objective's, or the factors (L, R) of the gradient L @ R.T that
+    ``row_normalize`` hands it."""
 
     __slots__ = ()
 
@@ -322,23 +302,22 @@ def backward(loss: Tensor) -> None:
 def _accumulate(t: Tensor, g) -> None:
     """Add the contribution ``g`` to ``t.grad``. The first one becomes the
     buffer itself, so an adjoint passes only a ``g`` nothing else holds,
-    and the adjoint that later receives that buffer may overwrite it. A
-    ``row_normalize`` output takes no dense gradient: only ``matmul``'s
-    left operand hands it shares. Distances contract a dense gradient, and
-    edge weights list each term."""
+    and the adjoint that later receives that buffer may overwrite it. Of
+    the lazy N x N outputs only edge weights take a contribution here, and
+    they list each term. A ``row_normalize`` output takes its gradient only
+    as ``matmul``'s left operand, and distances only from ``sigmoid``, so
+    any other consumer of theirs raises ContractError."""
     if type(t) is not Tensor:
-        if isinstance(t, _RowNormalized):
-            raise ContractError(
-                "a row_normalize output takes a gradient only as matmul's left operand")
         if isinstance(t, _EdgeWeights):
             if t.grad is None:
                 t.grad = [g]
             else:
                 t.grad.append(g)
             return
-        if isinstance(t, _Distances):
-            dense = g
-            g = t.contract(lambda rows, cols, d: dense[rows, cols] + dense[cols, rows].T)
+        raise ContractError(
+            "a row_normalize output takes a gradient only as matmul's left operand"
+            if isinstance(t, _RowNormalized)
+            else "pairwise_euclidean's distances take a gradient only from sigmoid")
     if t.grad is None:
         t.grad = g
     else:
@@ -448,47 +427,26 @@ def _edge_weight_grads(h: np.ndarray, s: np.ndarray, d: np.ndarray, t: Tensor,
 
 
 def sigmoid(a, temperature, threshold) -> Tensor:
-    """Elementwise sigmoid(temperature * (threshold - a)) of a matrix for
-    two 0-d tensors: a learned graph's edge weights in one op, so neither
-    the affine map nor its inputs' difference is recorded.
-
-    Over ``pairwise_euclidean``'s distances it runs once per pair of
+    """A learned graph's edge weights sigmoid(temperature * (threshold - d))
+    over ``pairwise_euclidean``'s distances d, for two 0-d tensors, in one
+    op; any other ``a`` raises ContractError. It runs once per pair of
     ``TILE``-row blocks and mirrors each tile, so the result is exactly
-    symmetric and the distances are never stored; see ``_tiled_sigmoid``.
-    """
+    symmetric and is the one N x N array stored. Backward, each tile pair
+    recomputes its distances (a graph of one tile keeps them) and forms the
+    gradient H = G[I, J] + G[J, I].T of its unordered pairs from the terms:
+    X[I] @ Y[J].T of thin stacks for the factors, two slices for a dense
+    term. A diagonal tile counts each pair twice, so its t and theta sums
+    are halved. W = H / sqrt(d^2 + DISTANCE_EPS), 0 on the diagonal, is
+    contracted into the distances' gradient [W v, W 1], so no N x N
+    gradient is formed."""
     a, t, theta = as_tensor(a), as_tensor(temperature), as_tensor(threshold)
-    if len(a.shape) != 2 or t.values.ndim or theta.values.ndim:
+    if not isinstance(a, _Distances):
+        raise ContractError(
+            f"sigmoid takes only pairwise_euclidean's distances, got shape {a.shape}")
+    if t.values.ndim or theta.values.ndim:
         raise DimensionError(
-            "sigmoid expects a matrix, a 0-d temperature and a 0-d threshold, "
-            f"got {a.shape}, {t.shape} and {theta.shape}")
-    if isinstance(a, _Distances):
-        return _tiled_sigmoid(a, t, theta)
-    x = a.values
-    values = np.empty_like(x)
-    with np.errstate(over="ignore", under="ignore"):
-        _edge_weights(values, x, t, theta)
-
-    def adjoint(g: np.ndarray) -> None:
-        dt, dtheta = _edge_weight_grads(g, values, x, t, theta)
-        if t.requires_grad:
-            _accumulate(t, dt)
-        if theta.requires_grad:
-            _accumulate(theta, dtheta)
-        if a.requires_grad:
-            _accumulate(a, g)
-
-    return _record(values, "sigmoid", (a, t, theta), adjoint)
-
-
-def _tiled_sigmoid(a: _Distances, t: Tensor, theta: Tensor) -> Tensor:
-    """``sigmoid`` over distances, tile pair by tile pair. The edge weights
-    are the one N x N array it stores. Backward, each tile pair recomputes
-    its distances (a graph of one tile keeps them) and forms the gradient
-    of its unordered pairs, H = G[I, J] + G[J, I].T, from the terms it
-    receives: one product X[I] @ Y[J].T of thin stacks for the factors,
-    and two slices for a dense term. A diagonal tile counts each pair
-    twice, so its t and theta sums are halved. The distances take their
-    gradient contracted, so no N x N gradient is formed."""
+            "sigmoid expects a 0-d temperature and a 0-d threshold, "
+            f"got {t.shape} and {theta.shape}")
     n = a.shape[0]
     values = np.empty((n, n))
     with np.errstate(over="ignore", under="ignore"):
@@ -515,10 +473,13 @@ def _tiled_sigmoid(a: _Distances, t: Tensor, theta: Tensor) -> Tensor:
                 g += term
         if lefts:
             x, y = np.hstack([*lefts, *rights]), np.hstack([*rights, *lefts])
+        k = a.rows.shape[1]
+        v1 = np.empty((n, k + 1))
+        v1[:, :k] = a.rows
+        v1[:, k] = 1.0
+        m = np.zeros_like(v1)
         dt = dtheta = 0.0
-
-        def unordered(rows: slice, cols: slice, d: np.ndarray) -> np.ndarray:
-            nonlocal dt, dtheta
+        for rows, cols, d in a.tile_pairs():
             if lefts:
                 h = x[rows] @ y[cols].T
                 if g is not None:
@@ -530,9 +491,17 @@ def _tiled_sigmoid(a: _Distances, t: Tensor, theta: Tensor) -> Tensor:
             share = 0.5 if rows == cols else 1.0
             dt += share * tile_dt
             dtheta += share * tile_dtheta
-            return h
-
-        m = a.contract(unordered)
+            q = np.multiply(d, d)
+            q += DISTANCE_EPS
+            np.sqrt(q, out=q)
+            h /= q
+            del q
+            if rows == cols:
+                h.ravel()[::len(h) + 1] = 0.0
+            else:
+                m[cols] += h.T @ v1[rows]
+            m[rows] += h @ v1[cols]
+            del h, d
         if t.requires_grad:
             _accumulate(t, np.float64(dt))
         if theta.requires_grad:
@@ -647,11 +616,17 @@ def row_normalize(a) -> Tensor:
 
     The result takes a gradient only as ``matmul``'s left operand; any
     other consumer that would hand it one raises ContractError in the
-    backward pass. ``sigmoid``'s edge weights take their gradient as thin
-    factors; any other input takes it as one N x N product.
+    backward pass. The input takes a gradient only if it is ``sigmoid``'s
+    edge weights, which take it as thin factors; any other input that
+    needs one raises ContractError here, before anything N x N. Constant
+    adjacencies, such as the kNN and static graphs, need none.
     """
     a = as_tensor(a)
-    if a.values.ndim != 2:
+    if _recording and a.requires_grad and not isinstance(a, _EdgeWeights):
+        raise ContractError(
+            "row_normalize takes a gradient only for sigmoid's edge weights, "
+            "not for this input")
+    if len(a.shape) != 2:
         raise DimensionError(f"row_normalize expects a matrix, got {a.shape}")
     denom = a.values.sum(axis=1, keepdims=True)
     if not np.all(denom > 0.0):
@@ -661,20 +636,15 @@ def row_normalize(a) -> Tensor:
 
     def adjoint(shares: list[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> None:
         # dA = (dP - rowdot(dP, P)) / denom with dP = sum_l G_l @ Y_l.T, as
-        # left @ right.T of width w + 1: the last column of ``left``, against
-        # a column of ones, subtracts the row dots, read off the products
-        # P @ Y_l. Edge weights take these factors; any other input takes
-        # their N x N product
+        # the factors of left @ right.T of width w + 1: the last column of
+        # ``left``, against a column of ones, subtracts the row dots, read
+        # off the products P @ Y_l
         gs, ys, products = zip(*shares)
         row_dots = sum(np.einsum("ij,ij->i", g, p) for g, p in zip(gs, products))
         left = np.hstack([*gs, -row_dots[:, None]])
         left /= denom
         right = np.hstack([*ys, np.ones((a.shape[0], 1))])
-        if isinstance(a, _EdgeWeights):
-            _accumulate(a, (left, right))
-        else:
-            # C order: the product runs about twice as fast
-            _accumulate(a, left @ np.ascontiguousarray(right.T))
+        _accumulate(a, (left, right))
 
     return _record(_RowNormalized(a.values, denom), "row_normalize", (a,), adjoint)
 

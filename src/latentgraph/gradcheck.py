@@ -51,17 +51,25 @@ def relative_error(loss_of: Callable[[], Tensor],
     return worst
 
 
-def _shared_operator(a: Tensor, h: Tensor, w: Tensor) -> Tensor:
-    """Two graph convolutions sharing one row-normalized operator, as in
-    the GCN, so the operator's gradient arrives as the factors of two
-    ``matmul``s."""
-    operator = ad.row_normalize(ad.sigmoid(a, -1.0, 0.0))
+def _learned_edge_weights(e: Tensor, t: Tensor, theta: Tensor) -> Tensor:
+    """A learned graph's edge weights over the distances between the rows
+    of ``e``."""
+    return ad.sigmoid(ad.pairwise_euclidean(e), t, theta)
+
+
+def _shared_operator(e: Tensor, t: Tensor, theta: Tensor, h: Tensor,
+                     w: Tensor) -> Tensor:
+    """Two graph convolutions sharing one learned operator, as in the GCN,
+    so the operator's gradient arrives as the factors of two ``matmul``s."""
+    operator = ad.row_normalize(_learned_edge_weights(e, t, theta))
     return ad.matmul(operator, ad.matmul(ad.matmul(operator, h), w))
 
 
 def op_checks(seed: int = 0, instances: int = 10) -> dict[str, float]:
     """Worst finite-difference error over ``instances`` random inputs,
-    keyed by op name."""
+    keyed by op name. The N x N ops are checked only in the forms the
+    model records: distances through ``sigmoid``, and its edge weights
+    through ``row_normalize`` into ``matmul``."""
     rng = np.random.default_rng(seed)
     labels = np.array([0, 2, 1, 1, 0, 2])
     mask = np.array([True, False, True, True, False, True])
@@ -75,24 +83,19 @@ def op_checks(seed: int = 0, instances: int = 10) -> dict[str, float]:
         "mul_scalar_tensor": (ad.mul, [(), (4, 4)]),
         "sum_all": (ad.sum_all, [(4, 4)]),
         "relu": (ad.relu, [(4, 4)]),
-        "sigmoid": (ad.sigmoid, [(5, 5), (), ()]),
-        # edge weights over distances, which take a dense gradient here
-        "sigmoid_distances": (
-            lambda e, t, theta: ad.sigmoid(ad.pairwise_euclidean(e), t, theta),
-            [(6, 3), (), ()]),
+        # the edge weights take a dense gradient here
+        "sigmoid": (_learned_edge_weights, [(6, 3), (), ()]),
         "tanh": (ad.tanh, [(4, 4)]),
         "softplus": (ad.softplus, [(4, 4)]),
-        "pairwise_euclidean": (ad.pairwise_euclidean, [(6, 3)]),
-        # the operator takes a gradient only through a matmul that reads it
+        "pairwise_euclidean": (
+            lambda e: ad.sigmoid(ad.pairwise_euclidean(e), -1.0, 0.0), [(6, 3)]),
+        # the operator takes a gradient only through a matmul that reads
+        # it, and hands it on to the edge weights as factors
         "row_normalize": (
-            lambda a, y: ad.matmul(ad.row_normalize(ad.sigmoid(a, -1.0, 0.0)), y),
-            [(5, 5), (5, 3)]),
-        "row_normalize_operator": (_shared_operator, [(5, 5), (5, 3), (3, 2)]),
-        # the model's graph: edge weights over distances take the factors
-        "row_normalize_edge_weights": (
             lambda e, t, theta, y: ad.matmul(
-                ad.row_normalize(ad.sigmoid(ad.pairwise_euclidean(e), t, theta)), y),
+                ad.row_normalize(_learned_edge_weights(e, t, theta)), y),
             [(6, 3), (), (), (6, 2)]),
+        "row_normalize_operator": (_shared_operator, [(6, 3), (), (), (6, 3), (3, 2)]),
         "row_softmax_cross_entropy": (
             lambda z: ad.row_softmax_cross_entropy(z, labels, mask), [(6, 3)]),
     }

@@ -448,8 +448,11 @@ def linear_baseline(dataset, folds: FoldSplit) -> CVMetrics:
 
 def knn_adjacency(features: np.ndarray, k_neighbors: int) -> np.ndarray:
     """Symmetrized binary kNN graph on raw feature distances. Each node
-    picks its ``k_neighbors`` nearest other nodes; among equal distances
-    the lowest node indices win."""
+    picks its ``k_neighbors`` nearest other nodes by the distances
+    ``pairwise_euclidean`` computes, and among exactly equal ones the lowest
+    node indices win. Those are Gram-form distances, exact to their last
+    bits only: copies of a row need not be 0 apart or tie with each other,
+    so which copy a row picks can change with ``autodiff.TILE``."""
     features = np.asarray(features, dtype=np.float64)
     n = features.shape[0]
     if not (0 < k_neighbors < n):

@@ -14,6 +14,7 @@ from latentgraph.errors import ContractError, DimensionError, NumericalError
 from latentgraph.gradcheck import (END_TO_END_TOLERANCE, OP_TOLERANCE,
                                    end_to_end_check, op_checks, relative_error)
 
+import numpy_reference as ref
 from conftest import zero_fill_backward
 
 RNG = np.random.default_rng(1234)
@@ -22,15 +23,18 @@ finite_matrices = arrays(np.float64, (4, 3),
                          elements=st.floats(-1e3, 1e3, allow_nan=False))
 
 
-def plain_sigmoid(x):
-    return ad.sigmoid(x, -1.0, 0.0)  # 1 / (1 + exp(-x)), bit for bit
+def sigmoid_of(x):
+    """1 / (1 + exp(-x)) as the engine computes it, bit for bit: the edge
+    weight of the 1-D rows 0 and |x|, whose distance is |x|, at theta = 0
+    and t = -1, or t = 1 for x < 0."""
+    distances = ad.pairwise_euclidean(np.array([[0.0], [abs(x)]]))
+    return ad.sigmoid(distances, -1.0 if x >= 0 else 1.0, 0.0).values[0, 1]
 
 
-def graph_conv(a):
-    """The row-normalized sigmoid of ``a``, read as the GCN reads its graph
-    operator: as the left operand of a matmul, here by a fixed square one."""
-    y = np.random.default_rng(0).normal(size=a.shape)
-    return ad.matmul(ad.row_normalize(plain_sigmoid(a)), y)
+def distances_through_sigmoid(e):
+    """The distances between the rows of ``e`` as the model reads them:
+    through ``sigmoid``, here at constant t = -1 and theta = 0."""
+    return ad.sigmoid(ad.pairwise_euclidean(e), -1.0, 0.0)
 
 
 def matmul_oracle(a, b):
@@ -114,25 +118,27 @@ class TestPairwiseEuclidean:
 
     def test_coincident_points_gradient_is_finite(self):
         e = ad.parameter(np.array([[1.0, 2.0], [1.0, 2.0], [0.0, 0.0]]))
-        loss = ad.sum_all(ad.pairwise_euclidean(e))
+        loss = ad.sum_all(distances_through_sigmoid(e))
         ad.backward(loss)
         assert np.all(np.isfinite(e.grad))
 
 
 class TestSigmoid:
+    """The edge weight of two 1-D rows |x| apart, and ``_edge_weights`` on
+    sweeps of more values than a distance matrix can hold."""
+
     def test_zero(self):
-        assert plain_sigmoid(np.zeros((1, 1))).values[0, 0] == 0.5
+        assert sigmoid_of(0.0) == 0.5
 
     def test_saturation_no_overflow(self):
         with np.errstate(over="raise"):
-            hi, lo = plain_sigmoid(np.array([[40.0, -745.0]])).values[0]
+            hi, lo = sigmoid_of(40.0), sigmoid_of(-745.0)
         assert abs(hi - 1.0) < 1e-15
         assert lo >= 0.0
 
     def test_value_at_two(self):
         # frozen from a 40-digit evaluation of 1 / (1 + exp(-2))
-        value = plain_sigmoid(np.full((1, 1), 2.0)).values[0, 0]
-        assert abs(value - 0.8807970779778823) < 1e-15
+        assert abs(sigmoid_of(2.0) - 0.8807970779778823) < 1e-15
 
     def test_matches_two_branch_reference(self):
         # The former kernel: both branches exponentiate only -|x|.
@@ -145,8 +151,11 @@ class TestSigmoid:
                             [-np.inf, np.inf, -0.0]])
         with np.errstate(under="ignore"):
             expected = two_branch(x)
-        with np.errstate(all="raise"):
-            got = plain_sigmoid(x[None, :]).values[0]
+        # at t = -1 and theta = 0 the kernel computes 1 / (1 + exp(-x)); its
+        # callers silence overflow and underflow, which are benign here
+        got = np.empty_like(x)
+        with np.errstate(all="raise", over="ignore", under="ignore"):
+            ad._edge_weights(got, x, ad.as_tensor(-1.0), ad.as_tensor(0.0))
         tiny = np.finfo(np.float64).tiny
         normal = expected >= tiny
         assert normal.any() and (~normal).any()
@@ -158,16 +167,14 @@ class TestSigmoid:
         assert np.all(np.abs(got[~normal] - expected[~normal]) <= tiny)
 
     def test_adjoint_uses_s_times_one_minus_s(self):
-        x = ad.parameter(np.array([[0.3, -1.2]]))
-        out = plain_sigmoid(x)
+        # the rows 0 and 0.3: the sum counts the pair twice, and the
+        # distance's gradient is 0.3 over the smoothed 0.3
+        e = ad.parameter(np.array([[0.0], [0.3]]))
+        out = distances_through_sigmoid(e)
         ad.backward(ad.sum_all(out))
-        s = out.values
-        np.testing.assert_allclose(x.grad, s * (1 - s), atol=1e-15)
-
-    @pytest.mark.parametrize("shape", [(), (3,), (2, 2, 2)], ids=["0d", "vector", "3d"])
-    def test_input_must_be_a_matrix(self, shape):
-        with pytest.raises(DimensionError, match="matrix"):
-            plain_sigmoid(np.zeros(shape))
+        s = out.values[0, 1]
+        g = 2.0 * s * (1 - s) * 0.3 / np.sqrt(0.09 + ad.DISTANCE_EPS)
+        np.testing.assert_allclose(e.grad[:, 0], [-g, g], rtol=1e-14)
 
 
 class TestSoftplus:
@@ -285,23 +292,15 @@ class TestBackward:
         w = ad.parameter(RNG.normal(size=(2, 3)))
         with pytest.raises(ContractError):
             with ad.no_grad():
-                out = ad.sum_all(plain_sigmoid(w))
+                out = ad.sum_all(distances_through_sigmoid(w))
                 assert out.op is None and not out.requires_grad
                 raise ContractError("leaves the block")
-        assert ad.sum_all(plain_sigmoid(w)).op == "sum_all"
+        assert ad.sum_all(distances_through_sigmoid(w)).op == "sum_all"
 
     def test_a_tensor_added_to_its_negation_gives_zero(self):
         w = ad.parameter(RNG.normal(size=(2, 3)))
         ad.backward(ad.sum_all(ad.mul(ad.add(w, ad.mul(-1.0, w)), RNG.normal(size=(2, 3)))))
         assert np.array_equal(w.grad, np.zeros((2, 3)))
-
-
-def pairwise_gradient(w, e):
-    """Gradient of sum(w * D(e)) per pair, with the smoothed denominator."""
-    diff = e[:, None, :] - e[None, :, :]
-    s = (w + w.T) / np.sqrt((diff ** 2).sum(axis=-1) + ad.DISTANCE_EPS)
-    np.fill_diagonal(s, 0.0)
-    return [(s[:, :, None] * diff).sum(axis=1)]
 
 
 def edge_weights(e, t, theta):
@@ -341,11 +340,11 @@ class TestSmallTiles:
     # one-row tiles leave every diagonal tile 1 x 1; four-row tiles leave
     # N = 9 a last tile of one. The tiles change the last bits only
     @pytest.mark.parametrize("op, shapes, tile", [
-        (ad.pairwise_euclidean, [(N, 4)], 1),
+        (distances_through_sigmoid, [(N, 4)], 1),
         (edge_weights, [(N, 4), (), ()], 1),
         (learned_graph_conv, [(N, 4), (), ()], 1),
         (edge_weights_with_two_terms, [(N, 4), (), ()], 1),
-        (ad.pairwise_euclidean, [(N, 4)], 4),
+        (distances_through_sigmoid, [(N, 4)], 4),
         (edge_weights, [(N, 4), (), ()], 4),
         (learned_graph_conv, [(N, 4), (), ()], 4),
         (edge_weights_with_two_terms, [(N, 4), (), ()], 4),
@@ -383,15 +382,16 @@ class TestSmallTiles:
         (ad.add, [(N, N), ()], lambda w, p, q: [w, w.sum()]),
         (ad.mul, [(), (N, N)], lambda w, p, q: [(w * q).sum(), w * p]),
         (ad.mul, [(N, N), ()], lambda w, p, q: [w * q, (w * p).sum()]),
-        (ad.pairwise_euclidean, [(N, 4)], pairwise_gradient),
+        (edge_weights, [(N, 4), (), ()],
+         lambda w, e, t, theta: ref.edge_weights_vjp(e, t, theta, w)),
         (lambda a, b, c: ad.add(ad.matmul(a, b), ad.matmul(a, c)), [(N, N), (N, 2), (N, 2)],
          lambda w, a, b, c: [w @ (b + c).T, a.T @ w, a.T @ w]),
     ], ids=["add_scalar", "add_scalar_right", "mul_scalar", "mul_scalar_right",
-            "pairwise_euclidean", "matmul_two_contributions"])
+            "edge_weights", "matmul_two_contributions"])
     def test_adjoints_match_closed_forms_in_multi_row_tiles(self, op, shapes, expected,
                                                              monkeypatch):
-        # three rows per tile: the distance adjoint contracts 9 nodes over
-        # six tile pairs
+        # three rows per tile: the edge weights' adjoint contracts 9 nodes
+        # over six tile pairs
         monkeypatch.setattr(ad, "TILE", 3)
         values = [RNG.uniform(-1.0, 1.0, size=s) for s in shapes]
         weight = RNG.normal(size=op(*values).shape)
@@ -426,7 +426,7 @@ class TestTilePairs:
         np.testing.assert_allclose(d, pairwise_oracle(e), rtol=1e-12, atol=1e-9)
         s = ad.sigmoid(ad.pairwise_euclidean(e), 0.05, 40.0).values
         assert np.array_equal(s, s.T)
-        assert np.array_equal(s, plain_sigmoid(ad.mul(ad.add(d, -40.0), -0.05)).values)
+        assert np.array_equal(s, 1.0 / (1.0 + np.exp(0.05 * (d - 40.0))))
 
     @pytest.mark.parametrize("gradient", ["dense", "factors"])
     def test_adjoint_holds_a_few_tiles(self, gradient):
@@ -479,39 +479,31 @@ class TestTilePairs:
             assert all(cell.cell_contents is not t for cell in t._adjoint.__closure__ or ())
 
 
-def affine_chain(d, t, theta):
-    """The edge weights sigmoid(t * (theta - d)) as four recorded ops;
-    theta + (-d) has the same bits as theta - d."""
-    return plain_sigmoid(ad.mul(t, ad.add(theta, ad.mul(-1.0, d))))
-
-
 class TestAffineSigmoid:
-    """``sigmoid(d, t, theta)`` is ``affine_chain`` in one op."""
+    """``sigmoid(d, t, theta)`` against the numpy reference: the values of
+    1 / (1 + exp(t (d - theta))) on the engine's distances bit for bit, and
+    the gradients of the embedding, t and theta."""
 
     N = 9
 
     def inputs(self):
-        d = ad.pairwise_euclidean(RNG.normal(size=(self.N, 3))).values
-        return [d, np.asarray(1.7), np.asarray(0.9 * np.median(d))]
+        e = RNG.normal(size=(self.N, 3))
+        return [e, np.asarray(1.7), np.asarray(0.9 * np.median(ref.distances(e)))]
 
-    # the dense matrix of distances, or the lazy distances of the rows
-    # themselves in tiles of N, 4 and 1 rows
-    @pytest.mark.parametrize("tile", [None, N, 4, 1],
-                             ids=["dense", "one_tile", "four_row_tiles", "one_row_tiles"])
+    @staticmethod
+    def reference_values(e, t, theta):
+        d = ad.pairwise_euclidean(e).values
+        return 1.0 / (1.0 + np.exp(t * (d - theta)))
+
+    @pytest.mark.parametrize("tile", [N, 4, 1],
+                             ids=["one_tile", "four_row_tiles", "one_row_tiles"])
     def test_matches_the_reference_chain(self, tile, monkeypatch):
-        values, distances = self.inputs(), ad.as_tensor
-        if tile is not None:
-            # rows drawn as ``inputs`` draws them, so theta stays near the
-            # median distance
-            monkeypatch.setattr(ad, "TILE", tile)
-            values[0], distances = RNG.normal(size=(self.N, 3)), ad.pairwise_euclidean
+        monkeypatch.setattr(ad, "TILE", tile)
+        values = self.inputs()
         weight = RNG.normal(size=(self.N, self.N))
-        fused, fused_grads = forward_and_gradients(
-            lambda x, t, theta: ad.sigmoid(distances(x), t, theta), values, weight)
-        chain, chain_grads = forward_and_gradients(
-            lambda x, t, theta: affine_chain(distances(x), t, theta), values, weight)
-        assert np.array_equal(fused, chain)
-        for got, want in zip(fused_grads, chain_grads):
+        fused, fused_grads = forward_and_gradients(edge_weights, values, weight)
+        assert np.array_equal(fused, self.reference_values(*values))
+        for got, want in zip(fused_grads, ref.edge_weights_vjp(*values, weight)):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("t_theta", [800.0, -800.0])
@@ -519,17 +511,18 @@ class TestAffineSigmoid:
         values = self.inputs()
         values[2] = np.asarray(t_theta / values[1])
         weight = RNG.normal(size=(self.N, self.N))
-        fused, grads = forward_and_gradients(ad.sigmoid, values, weight)
-        chain, _ = forward_and_gradients(affine_chain, values, weight)
-        assert np.array_equal(fused, chain)
+        with np.errstate(over="ignore"):
+            expected = self.reference_values(*values)
+        fused, grads = forward_and_gradients(edge_weights, values, weight)
+        assert np.array_equal(fused, expected)
         assert all(np.all(np.isfinite(g)) for g in [fused, *grads])
 
     def test_constant_distances_get_no_grad(self):
-        d, t, theta = self.inputs()
+        e, t, theta = self.inputs()
         weight = RNG.normal(size=(self.N, self.N))
-        _, grads = forward_and_gradients(ad.sigmoid, [d, t, theta], weight)
+        _, grads = forward_and_gradients(edge_weights, [e, t, theta], weight)
         scalars = [ad.parameter(t), ad.parameter(theta)]
-        distances = ad.as_tensor(d)
+        distances = ad.pairwise_euclidean(e)
         ad.backward(ad.sum_all(ad.mul(ad.sigmoid(distances, *scalars), weight)))
         assert distances.grad is None
         assert [p.grad for p in scalars] == grads[1:]
@@ -543,7 +536,79 @@ class TestAffineSigmoid:
              "no_temperature"])
     def test_edge_scalars_must_be_two_0d_inputs(self, temperature, threshold, error, match):
         with pytest.raises(error, match=match):
-            ad.sigmoid(np.zeros((3, 3)), temperature, threshold)
+            ad.sigmoid(ad.pairwise_euclidean(np.zeros((3, 3))), temperature, threshold)
+
+
+class TestOneFormPerOp:
+    """Each lazy N x N output takes its input and its gradient in the one
+    form the model uses: distances only through ``sigmoid``, edge weights
+    into ``row_normalize``, P only as ``matmul``'s left operand."""
+
+    N = 9
+
+    @pytest.mark.parametrize("shape", [(N, N), (), (3,), (2, 2, 2)],
+                             ids=["matrix", "0d", "vector", "3d"])
+    def test_sigmoid_takes_only_distances(self, shape):
+        with pytest.raises(ContractError, match="only pairwise_euclidean's distances"):
+            ad.sigmoid(np.zeros(shape), 1.0, 0.5)
+
+    @pytest.mark.parametrize("consumer_first", [True, False],
+                             ids=["consumer_first", "consumer_last"])
+    @pytest.mark.parametrize("consumer", [
+        lambda d: d,
+        lambda d: ad.mul(d, RNG.normal(size=d.shape)),
+        lambda d: ad.add(d, ad.parameter(RNG.normal(size=d.shape))),
+        lambda d: ad.matmul(d, RNG.normal(size=(d.shape[0], 2))),
+        lambda d: ad.matmul(ad.parameter(RNG.normal(size=(2, d.shape[0]))), d),
+    ], ids=["sum_all", "mul", "add", "matmul_left_operand", "matmul_right_operand"])
+    def test_any_other_consumer_of_the_distances_is_rejected(self, consumer, consumer_first):
+        # the distances' gradient arrives only from sigmoid; a dense term,
+        # before or after sigmoid's in the backward pass, is not contracted
+        e = ad.parameter(RNG.normal(size=(self.N, 3)))
+        distances = ad.pairwise_euclidean(e)
+        weights = ad.sum_all(ad.sigmoid(distances, 1.5, 2.0))
+        other = ad.sum_all(consumer(distances))
+        loss = ad.add(other, weights) if consumer_first else ad.add(weights, other)
+        with pytest.raises(ContractError, match="distances take a gradient only from sigmoid"):
+            ad.backward(loss)
+
+    def test_two_sigmoids_share_the_distances(self):
+        # the distances' gradient is the sum of both sigmoids' contractions
+        values = [RNG.normal(size=(self.N, 3)), np.asarray(1.5), np.asarray(2.0)]
+        w1, w2 = RNG.normal(size=(self.N, self.N)), RNG.normal(size=(self.N, self.N))
+        e = ad.parameter(values[0].copy())
+        distances = ad.pairwise_euclidean(e)
+        loss = ad.add(ad.sum_all(ad.mul(ad.sigmoid(distances, *values[1:]), w1)),
+                      ad.sum_all(ad.mul(ad.sigmoid(distances, *values[1:]), w2)))
+        ad.backward(loss)
+        want = ref.edge_weights_vjp(*values, w1 + w2)[0]
+        np.testing.assert_allclose(e.grad, want, rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("matrix", [
+        lambda e: ad.parameter(RNG.uniform(0.5, 1.5, size=(e.shape[0],) * 2)),
+        lambda e: ad.mul(ad.sigmoid(ad.pairwise_euclidean(e), 1.5, 2.0), 1.0),
+        lambda e: ad.pairwise_euclidean(e),
+    ], ids=["parameter", "mul_of_edge_weights", "distances"])
+    def test_row_normalize_of_another_input_that_needs_a_gradient_is_rejected(
+            self, matrix, monkeypatch):
+        # rejected in the forward pass, before the distances are formed
+        e = ad.parameter(RNG.normal(size=(self.N, 3)))
+        a = matrix(e)
+
+        def formed(self):
+            raise AssertionError("the distances were formed")
+
+        monkeypatch.setattr(ad._Distances, "values", property(formed))
+        with pytest.raises(ContractError, match="only for sigmoid's edge weights"):
+            ad.row_normalize(a)
+
+    def test_row_normalize_takes_any_input_that_needs_no_gradient(self):
+        e = RNG.normal(size=(self.N, 3))
+        with ad.no_grad():
+            inside = ad.row_normalize(ad.parameter(RNG.uniform(0.5, 1.5, size=(self.N, self.N))))
+        for p in (inside, ad.row_normalize(ad.mul(ad.sigmoid(ad.pairwise_euclidean(e), 1.5, 2.0),
+                                                   1.0))):
+            np.testing.assert_allclose(p.values.sum(axis=1), np.ones(self.N), rtol=1e-12)
 
 
 class TestPrunedGraphOperator:
@@ -565,10 +630,11 @@ class TestPrunedGraphOperator:
 
 
 class TestFactoredOperatorGradient:
-    """The ``matmul``s that read a row-normalized operator P hand it their
-    gradient shares G @ Y.T as factors; ``row_normalize``'s adjoint must
-    give what the dense dP and the row-normalize adjoint give. Any other
-    consumer of P's gradient is rejected."""
+    """The ``matmul``s that read a learned operator P hand it their gradient
+    shares G @ Y.T as factors, and ``row_normalize`` hands them on to the
+    edge weights. The gradients of the embedding, t and theta must be what
+    the numpy reference gives from the dense dP. Any other consumer of P's
+    gradient is rejected."""
 
     N = 9
 
@@ -581,27 +647,26 @@ class TestFactoredOperatorGradient:
             loss = ad.add(loss, term)
         return loss, p
 
-    @staticmethod
-    def dense_reference(a, consumers):
-        # dP = sum_l G_l @ Y_l.T with G_l = w_l;
-        # then dS = (dP - rowdot(dP, P)) / rowsum(A)
-        sums = a.sum(axis=1, keepdims=True)
-        dp = sum(w @ y.T for y, w in consumers)
-        return (dp - (dp * (a / sums)).sum(axis=1, keepdims=True)) / sums
-
+    # four-row tiles: 9 nodes make six tile pairs, one of them ragged
     @pytest.mark.parametrize("n_consumers", [1, 2], ids=["one_consumer", "two_consumers"])
-    def test_matches_the_dense_reference(self, n_consumers, forbid_forming_the_operator):
-        values = RNG.uniform(0.5, 1.5, size=(self.N, self.N))
+    def test_matches_the_dense_reference(self, n_consumers, forbid_forming_the_operator,
+                                         monkeypatch):
+        monkeypatch.setattr(ad, "TILE", 4)
+        e = RNG.normal(size=(self.N, 3))
+        values = [e, np.asarray(1.5), np.asarray(np.median(ref.distances(e)))]
         consumers = [(RNG.normal(size=(self.N, 2)), RNG.normal(size=(self.N, 2)))
                      for _ in range(n_consumers)]
-        a = ad.parameter(values.copy())
+        params = [ad.parameter(v.copy()) for v in values]
         # the matmuls multiply through A and its row sums, and the adjoint
         # never forms P
         forbid_forming_the_operator()
-        loss, p = self.loss(a, consumers)
+        loss, _ = self.loss(edge_weights(*params), consumers)
         ad.backward(loss)
-        want = self.dense_reference(values, consumers)
-        assert np.max(np.abs(a.grad - want)) <= 1e-12 * np.max(np.abs(want))
+        # dP = sum_l G_l @ Y_l.T with G_l = w_l
+        dp = sum(w @ y.T for y, w in consumers)
+        ds = ref.row_normalize_vjp(ref.edge_weights(*values), dp)
+        for p, want in zip(params, ref.edge_weights_vjp(*values, ds)):
+            assert np.max(np.abs(p.grad - want)) <= 1e-12 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("consumer_first", [True, False],
                              ids=["consumer_first", "consumer_last"])
@@ -615,8 +680,8 @@ class TestFactoredOperatorGradient:
         # P's gradient arrives only as matmul shares; a dense term, before
         # or after the matmul's in the backward pass, must not be dropped
         # or mixed in wrong
-        a = ad.parameter(RNG.uniform(0.5, 1.5, size=(self.N, self.N)))
-        p = ad.row_normalize(a)
+        e = ad.parameter(RNG.normal(size=(self.N, 3)))
+        p = ad.row_normalize(edge_weights(e, 1.5, 2.0))
         product = ad.sum_all(ad.matmul(p, RNG.normal(size=(self.N, 2))))
         other = ad.sum_all(consumer(p))
         loss = ad.add(other, product) if consumer_first else ad.add(product, other)
@@ -624,7 +689,7 @@ class TestFactoredOperatorGradient:
             ad.backward(loss)
 
     def test_consumers_get_their_dense_gradients(self):
-        a = ad.parameter(RNG.uniform(0.5, 1.5, size=(self.N, self.N)))
+        a = RNG.uniform(0.5, 1.5, size=(self.N, self.N))
         ys = [ad.parameter(RNG.normal(size=(self.N, 2))) for _ in range(2)]
         ws = [RNG.normal(size=(self.N, 2)) for _ in range(2)]
         loss, p = self.loss(a, list(zip(ys, ws)))
@@ -652,11 +717,21 @@ class TestGradientBuffers:
     ], ids=["add", "add_scalar", "add_scalar_right", "mul", "mul_scalar",
             "mul_scalar_right", "mul_self"])
     def test_gradients_are_owned_and_match_zero_fill(self, op, shapes, expected):
-        # the op feeds the sigmoid kernel and the graph operator
+        # the op's first N x N operand is a learned graph's edge weights,
+        # which take its dense term, as in the recovery objective, beside
+        # the factors of the graph operator
         values = [RNG.uniform(-1.0, 1.0, size=s) for s in shapes]
         weight = RNG.normal(size=(self.N, self.N))
+        learned = [ad.parameter(RNG.normal(size=(self.N, 3))), ad.parameter(np.asarray(1.5)),
+                   ad.parameter(np.asarray(0.5))]
+        s = edge_weights(*learned)
+        first = [v.ndim for v in values].index(2)
         params = [ad.parameter(v.copy()) for v in values]
-        loss = ad.sum_all(ad.mul(graph_conv(op(*params)), weight))
+        operands = [s if i == first else p for i, p in enumerate(params)]
+        y = np.random.default_rng(0).normal(size=(self.N, 2))
+        loss = ad.add(ad.sum_all(ad.mul(op(*operands), weight)),
+                      ad.sum_all(ad.matmul(ad.row_normalize(s), y)))
+        params = learned + [p for i, p in enumerate(params) if i != first]
         zero_fill_backward(loss)
         reference = [p.grad.copy() for p in params]
         ad.backward(loss)
@@ -799,14 +874,11 @@ def skew_factors(shares):
     return [(1.01 * g, y, product) for g, y, product in shares]
 
 
-def skew_edge_weight_gradient(g):
-    """A sigmoid's gradient made 1% too large: a dense array, or the terms
-    edge weights over distances receive, whose factors (L, R) stand for
-    L @ R.T."""
-    if not isinstance(g, list):
-        return 1.01 * g
+def skew_edge_weight_gradient(terms):
+    """The terms edge weights receive, dense arrays or factors (L, R) that
+    stand for L @ R.T, made 1% too large."""
     return [(1.01 * term[0], term[1]) if isinstance(term, tuple) else 1.01 * term
-            for term in g]
+            for term in terms]
 
 
 class TestGradientCorrectness:
@@ -816,15 +888,16 @@ class TestGradientCorrectness:
             assert err < 1e-4, f"{name}: {err}"
 
     @pytest.mark.parametrize("op, skew, reported, unaffected", [
-        # built on a sigmoid, every row_normalize check sees its skew; over
-        # distances it skews the factors row_normalize hands it
+        # the distances and every row_normalize check go through a sigmoid,
+        # which sees the skew of its dense term or of the factors
+        # row_normalize hands it
         ("sigmoid", skew_edge_weight_gradient,
-         ["sigmoid", "sigmoid_distances", "row_normalize", "row_normalize_operator",
-          "row_normalize_edge_weights"], ["matmul", "pairwise_euclidean"]),
+         ["sigmoid", "pairwise_euclidean", "row_normalize", "row_normalize_operator"],
+         ["matmul"]),
         # every row_normalize check hands it its shares through matmuls
         ("row_normalize", skew_factors,
-         ["row_normalize", "row_normalize_operator", "row_normalize_edge_weights"],
-         ["sigmoid", "sigmoid_distances", "matmul"]),
+         ["row_normalize", "row_normalize_operator"],
+         ["sigmoid", "pairwise_euclidean", "matmul"]),
     ], ids=["sigmoid", "row_normalize_factors"])
     def test_wrong_adjoint_is_reported(self, op, skew, reported, unaffected,
                                        monkeypatch):
@@ -888,8 +961,12 @@ class TestNumericalHygiene:
     @given(finite_matrices)
     @settings(max_examples=25, deadline=None)
     def test_no_nan_inf_for_bounded_inputs(self, x):
+        # the 1-D rows 0 and x give the distances |x|, so the edge weights
+        # at t = -1 and 1 take sigmoid(x) for every entry of x
+        distances = ad.pairwise_euclidean(np.concatenate([[0.0], x.ravel()])[:, None])
         with np.errstate(over="raise", invalid="raise"):
-            assert np.all(np.isfinite(plain_sigmoid(x).values))
+            for t in (-1.0, 1.0):
+                assert np.all(np.isfinite(ad.sigmoid(distances, t, 0.0).values))
             assert np.all(np.isfinite(ad.softplus(x).values))
             assert np.all(np.isfinite(ad.tanh(x).values))
             labels = np.zeros(x.shape[0], dtype=int)
@@ -898,6 +975,6 @@ class TestNumericalHygiene:
 
     def test_forward_determinism_bit_identical(self):
         e = RNG.normal(size=(6, 4))
-        first = plain_sigmoid(ad.pairwise_euclidean(e)).values
-        second = plain_sigmoid(ad.pairwise_euclidean(e)).values
+        first = distances_through_sigmoid(e).values
+        second = distances_through_sigmoid(e).values
         assert np.array_equal(first, second)

@@ -10,6 +10,7 @@ from latentgraph import graph_learning as gl
 from latentgraph.errors import DimensionError, NumericalError
 from latentgraph.training import knn_adjacency
 
+import numpy_reference as ref
 from conftest import zero_fill_backward
 
 RNG = np.random.default_rng(42)
@@ -89,28 +90,16 @@ def forward_oracle(x, params):
         h = h @ weights[i].values + biases[i].values
         if i < len(weights) - 1:
             h = np.tanh(h)
-    d = ad.pairwise_euclidean(h).values
     t = np.log1p(np.exp(params.edge.raw_temperature.values))
-    a = 1.0 / (1.0 + np.exp(-t * (params.edge.threshold.values - d)))
+    a = ref.edge_weights(h, t, params.edge.threshold.values)
     h = x.copy()
     for w in params.gc_weights:
         h = np.maximum(a @ h / a.sum(axis=1, keepdims=True) @ w.values, 0.0)
     return h @ params.fc_weight.values + params.fc_bias.values
 
 
-def dense_chain_adjacency(embedding, edge):
-    """``gl.soft_adjacency`` as the dense op chain: ``mul`` reads the
-    distances' values, so ``sigmoid`` and ``row_normalize`` run on dense
-    N x N inputs and hand on dense N x N gradients. The distances contract
-    theirs as the tiles do; ``pairwise_gradient`` in test_autodiff checks
-    that contraction against its closed form."""
-    distances = ad.mul(ad.pairwise_euclidean(embedding), 1.0)
-    return ad.sigmoid(distances, edge.temperature(), edge.threshold)
-
-
-def logits_over(adjacency_of, x, embedding, params):
-    """``gcn.forward`` from a given embedding, over ``adjacency_of``'s graph."""
-    operator = ad.row_normalize(adjacency_of(embedding, params.edge))
+def gc_logits(operator, x, params):
+    """``gcn.forward``'s graph convolutions and head over a given operator."""
     h = x
     for w in params.gc_weights:
         h = ad.relu(ad.matmul(operator, ad.matmul(h, w)))
@@ -123,10 +112,25 @@ def loss_and_gradients(loss_of, params):
     return loss.item(), [t.grad.copy() for t in params]
 
 
-class TestTilesAgainstTheDenseChain:
+def reference_graph(embedding, edge):
+    """The numpy reference's edge weights over ``embedding``, and a map
+    from their gradient to the gradients of the embedding, the raw
+    temperature and the threshold."""
+    e, raw, theta = embedding.values, edge.raw_temperature.values, edge.threshold.values
+    t = np.log1p(np.exp(raw))  # softplus
+
+    def gradients(ds):
+        de, dt, dtheta = ref.edge_weights_vjp(e, t, theta, ds)
+        # softplus' derivative is sigmoid(raw)
+        return [de, dt / (1.0 + np.exp(-raw)), dtheta]
+
+    return ref.edge_weights(e, t, theta), gradients
+
+
+class TestTilesAgainstTheNumpyReference:
     """In tiles of 8 rows, 30 nodes leave a ragged last tile. The loss and
     the gradients of the embedding, t, theta and the GC weights, of the
-    model and of the recovery objective, match the dense op chain."""
+    model and of the recovery objective, match the numpy reference."""
 
     N = 30
 
@@ -134,12 +138,10 @@ class TestTilesAgainstTheDenseChain:
     def small_tiles(self, monkeypatch):
         monkeypatch.setattr(ad, "TILE", 8)
 
-    def assert_matches_the_dense_chain(self, loss_over, tensors):
-        tiled, tiled_grads = loss_and_gradients(lambda: loss_over(gl.soft_adjacency), tensors)
-        dense, dense_grads = loss_and_gradients(
-            lambda: loss_over(dense_chain_adjacency), tensors)
-        assert tiled == pytest.approx(dense, rel=1e-12)
-        for got, want in zip(tiled_grads, dense_grads):
+    @staticmethod
+    def assert_matches(tiled, tiled_grads, reference, reference_grads):
+        assert tiled == pytest.approx(reference, rel=1e-12)
+        for got, want in zip(tiled_grads, reference_grads):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
     def test_model(self):
@@ -148,10 +150,21 @@ class TestTilesAgainstTheDenseChain:
                                    rtol=1e-12, atol=1e-12)
         embedding = ad.parameter(gl.embed(x, params.embedder).values)
         y, mask = np.arange(self.N) % 3, np.arange(25)
-        self.assert_matches_the_dense_chain(
-            lambda adjacency_of: ad.row_softmax_cross_entropy(
-                logits_over(adjacency_of, x, embedding, params), y, mask),
+
+        def loss_over(operator):
+            return ad.row_softmax_cross_entropy(gc_logits(operator, x, params), y, mask)
+
+        tiled, tiled_grads = loss_and_gradients(
+            lambda: loss_over(ad.row_normalize(gl.soft_adjacency(embedding, params.edge))),
             [embedding, *params.edge.tensors(), *params.gc_weights])
+        # dP from the same loss over P as a dense parameter, through plain
+        # matmuls, then the closed forms back to the embedding and scalars
+        s, edge_gradients = reference_graph(embedding, params.edge)
+        p = ad.parameter(s / s.sum(axis=1, keepdims=True))
+        reference, (dp, *gc_grads) = loss_and_gradients(
+            lambda: loss_over(p), [p, *params.gc_weights])
+        self.assert_matches(tiled, tiled_grads, reference,
+                            [*edge_gradients(ref.row_normalize_vjp(s, dp)), *gc_grads])
 
     def test_recovery_objective(self):
         rng = np.random.default_rng(22)
@@ -160,11 +173,15 @@ class TestTilesAgainstTheDenseChain:
         targets = (rng.random((self.N, self.N)) < 0.3).astype(float)
         off_diag = 1.0 - np.eye(self.N)
 
-        def objective(adjacency_of):
-            residual = ad.mul(ad.add(adjacency_of(embedding, edge), -targets), off_diag)
+        def objective():
+            residual = ad.mul(ad.add(gl.soft_adjacency(embedding, edge), -targets), off_diag)
             return ad.sum_all(ad.mul(residual, residual))
 
-        self.assert_matches_the_dense_chain(objective, [embedding, *edge.tensors()])
+        tiled, tiled_grads = loss_and_gradients(objective, [embedding, *edge.tensors()])
+        s, edge_gradients = reference_graph(embedding, edge)
+        residual = (s - targets) * off_diag
+        self.assert_matches(tiled, tiled_grads, (residual ** 2).sum(),
+                            edge_gradients(2.0 * residual))
 
 
 class TestInitModel:

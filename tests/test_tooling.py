@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -105,3 +106,28 @@ def test_benchmark_workload_passes_its_output_checks(name, tmp_path, monkeypatch
     reasons = [reason for result in results for reason in result.reasons]
     assert sum(result.attempted for result in results) > 0
     assert sum(result.failed for result in results) == 0, reasons
+
+
+def test_every_private_definition_has_a_caller_in_src():
+    # a private function, class or method that only its own body or the
+    # tests reach is left behind by a deletion; names are matched across
+    # the package, since modules call each other's private helpers
+    defined, referenced = [], []
+    for path in sorted((ROOT / "src" / "latentgraph").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name.startswith("_") and not node.name.endswith("__")):
+                defined.append((path.name, node))
+            elif isinstance(node, (ast.Name, ast.Attribute)):
+                name = node.id if isinstance(node, ast.Name) else node.attr
+                referenced.append((path.name, node.lineno, name))
+
+    def called_outside(module, definition):
+        return any(name == definition.name and not (
+            module == where and definition.lineno <= line <= definition.end_lineno)
+            for where, line, name in referenced)
+
+    orphans = [f"{module}:{node.lineno} {node.name}" for module, node in defined
+               if not called_outside(module, node)]
+    assert not orphans
