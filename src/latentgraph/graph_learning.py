@@ -136,10 +136,14 @@ def soft_adjacency(embedding, edge: EdgeParams) -> Tensor:
     Entry (i, j) is sigmoid(temperature * (threshold - d_ij)) where d_ij
     is the embedded Euclidean distance; one ``ad.sigmoid`` call on the
     lazy distances and the two edge scalars computes it tile pair by tile
-    pair, so the edge weights are the one N x N value stored. The result
-    is exactly symmetric, has every entry strictly inside (0, 1) barring
-    float underflow at extreme saturation, equals sigmoid(temperature *
-    threshold) on the diagonal, and is strictly decreasing in distance.
+    pair, so the edge weights are the one N x N value stored. This is the
+    one form the learned graph's ops take a gradient in: the distances only
+    through this sigmoid, and its edge weights into ``ad.row_normalize``
+    (or, as in the recovery objective, any elementwise consumer). The
+    result is exactly symmetric, has every entry strictly inside (0, 1)
+    barring float underflow at extreme saturation, equals
+    sigmoid(temperature * threshold) on the diagonal, and is strictly
+    decreasing in distance.
     ``ad.pairwise_euclidean`` enforces the node cap before allocating.
     """
     return ad.sigmoid(ad.pairwise_euclidean(embedding), edge.temperature(), edge.threshold)
