@@ -23,13 +23,13 @@ multiply through the input and those sums, so P is never formed.
 Each lazy N x N output takes its input and its gradient in one form, the
 model's: distances only through ``sigmoid``, edge weights into
 ``row_normalize``, P only as ``matmul``'s left operand. Each matmul hands
-P its share as thin factors, ``row_normalize`` hands them on to the edge
-weights, which also take a dense gradient from an elementwise consumer
-(the recovery objective), and ``sigmoid``'s adjoint walks the tile pairs
-again, so no N x N gradient is formed and the distances' gradient
-arrives contracted to N x (k + 1). Any other input or consumer that
-needs a gradient raises ContractError. Results depend on ``TILE`` in
-their last bits; two runs give the same bits.
+P its share as thin factors. The edge weights take one gradient from one
+consumer: the factors ``row_normalize`` hands on, or a dense array from
+the recovery objective. ``sigmoid``'s adjoint walks the tile pairs again,
+so no N x N gradient is formed and the distances' gradient arrives
+contracted to N x (k + 1). Any other input or consumer that needs a
+gradient raises ContractError. Results depend on ``TILE`` in their last
+bits; two runs give the same bits.
 
 The engine is deliberately small; it supports exactly the operations the
 graph-learning models need, all in double precision so that gradients
@@ -179,12 +179,7 @@ class _Distances(Tensor):
 
     @property
     def values(self) -> np.ndarray:
-        values = np.empty(self.shape)
-        for rows, cols, d in self.tile_pairs():
-            values[rows, cols] = d
-            values[cols, rows] = d.T
-            del d  # freed before the next tile is made
-        return values
+        return _mirrored(len(self.rows), self.tile_pairs())
 
     def _tile(self, rows: slice, cols: slice) -> np.ndarray:
         # d_ij = sqrt(-2 g_ij + (n_i + n_j)): a diagonal tile's Gram block
@@ -207,24 +202,32 @@ class _Distances(Tensor):
         or after I, in row order; D[J, I] is the transpose. A yielded tile
         must not be written to, and a caller that drops it before asking for
         the next holds one tile at a time."""
-        if self.tile is not None:
-            everyone = slice(0, len(self.rows))
-            yield everyone, everyone, self.tile
-            return
         starts = range(0, len(self.rows), TILE)
         for i in starts:
             rows = slice(i, i + TILE)
             for j in starts[i // TILE:]:
                 cols = slice(j, j + TILE)
-                yield rows, cols, self._tile(rows, cols)
+                yield rows, cols, self._tile(rows, cols) if self.tile is None else self.tile
+
+
+def _mirrored(n: int, tiles: Iterator[tuple[slice, slice, np.ndarray]]) -> np.ndarray:
+    """The N x N array with each tile (I, J, T) at [I, J] and, off the
+    diagonal, T.T at [J, I]."""
+    out = np.empty((n, n))
+    for rows, cols, tile in tiles:
+        out[rows, cols] = tile
+        if rows != cols:
+            out[cols, rows] = tile.T
+        del tile  # freed before the next tile is made
+    return out
 
 
 class _EdgeWeights(Tensor):
     """The output of ``sigmoid``, and the one input for which
-    ``row_normalize`` takes a gradient. Its ``grad`` is a list of terms: a
-    dense N x N gradient from any elementwise consumer, as the recovery
-    objective's, or the factors (L, R) of the gradient L @ R.T that
-    ``row_normalize`` hands it."""
+    ``row_normalize`` takes a gradient. Its ``grad`` is what its one
+    consumer hands it: the factors (L, R) of the gradient L @ R.T from
+    ``row_normalize``, or a dense N x N gradient from an elementwise
+    consumer, as the recovery objective's."""
 
     __slots__ = ()
 
@@ -304,18 +307,17 @@ def _accumulate(t: Tensor, g) -> None:
     buffer itself, so an adjoint passes only a ``g`` nothing else holds,
     and the adjoint that later receives that buffer may overwrite it. Of
     the lazy N x N outputs only edge weights take a contribution here, and
-    they list each term. A ``row_normalize`` output takes its gradient only
-    as ``matmul``'s left operand, and distances only from ``sigmoid``, so
-    any other consumer of theirs raises ContractError."""
+    only one. A ``row_normalize`` output takes its gradient only as
+    ``matmul``'s left operand, and distances only from ``sigmoid``, so a
+    second or any other consumer of theirs raises ContractError."""
     if type(t) is not Tensor:
-        if isinstance(t, _EdgeWeights):
-            if t.grad is None:
-                t.grad = [g]
-            else:
-                t.grad.append(g)
+        if isinstance(t, _EdgeWeights) and t.grad is None:
+            t.grad = g
             return
         raise ContractError(
-            "a row_normalize output takes a gradient only as matmul's left operand"
+            "sigmoid's edge weights take a gradient from one consumer"
+            if isinstance(t, _EdgeWeights)
+            else "a row_normalize output takes a gradient only as matmul's left operand"
             if isinstance(t, _RowNormalized)
             else "pairwise_euclidean's distances take a gradient only from sigmoid")
     if t.grad is None:
@@ -351,7 +353,7 @@ def add(a, b) -> Tensor:
             _accumulate(a, _unbroadcast(g, a.shape))
         if b.requires_grad:
             gb = _unbroadcast(g, b.shape)
-            # a may hold g, as its buffer or as one of its terms; b must not share it
+            # a may hold g as its buffer; b must not share it
             _accumulate(b, gb.copy() if gb is g and a.requires_grad else gb)
 
     return _record(values, "add", (a, b), adjoint)
@@ -397,18 +399,19 @@ def relu(a) -> Tensor:
     return _record(values, "relu", (a,), adjoint)
 
 
-def _edge_weights(out: np.ndarray, d: np.ndarray, t: Tensor, theta: Tensor) -> None:
-    """out = sigmoid(t * (theta - d)) as 1 / (1 + exp(t * (d - theta))),
-    one buffer throughout. exp overflows for t * (theta - d) < -709.78
+def _edge_weights(d: np.ndarray, t: Tensor, theta: Tensor) -> np.ndarray:
+    """sigmoid(t * (theta - d)) as 1 / (1 + exp(t * (d - theta))), in one
+    new contiguous buffer. exp overflows for t * (theta - d) < -709.78
     (result 0, where the exact value is subnormal) and underflows for large
     values (result 1); callers silence both benign flags. t * (d - theta)
     has the same bits as -(t * (theta - d)), and at t = -1, theta = 0 the
     same bits as -d."""
-    np.subtract(d, theta.values, out=out)
-    out *= t.values
-    np.exp(out, out=out)
-    out += 1.0
-    np.reciprocal(out, out=out)
+    s = np.subtract(d, theta.values)
+    s *= t.values
+    np.exp(s, out=s)
+    s += 1.0
+    np.reciprocal(s, out=s)
+    return s
 
 
 def _edge_weight_grads(h: np.ndarray, s: np.ndarray, d: np.ndarray, t: Tensor,
@@ -433,12 +436,12 @@ def sigmoid(a, temperature, threshold) -> Tensor:
     ``TILE``-row blocks and mirrors each tile, so the result is exactly
     symmetric and is the one N x N array stored. Backward, each tile pair
     recomputes its distances (a graph of one tile keeps them) and forms the
-    gradient H = G[I, J] + G[J, I].T of its unordered pairs from the terms:
-    X[I] @ Y[J].T of thin stacks for the factors, two slices for a dense
-    term. A diagonal tile counts each pair twice, so its t and theta sums
-    are halved. W = H / sqrt(d^2 + DISTANCE_EPS), 0 on the diagonal, is
-    contracted into the distances' gradient [W v, W 1], so no N x N
-    gradient is formed."""
+    gradient H = G[I, J] + G[J, I].T of its unordered pairs from the edge
+    weights' one gradient G: X[I] @ Y[J].T with X = [L, R], Y = [R, L] for
+    factors (L, R), two slices for a dense G. A diagonal tile counts each
+    pair twice, so its t and theta sums are halved. W = H / sqrt(d^2 +
+    DISTANCE_EPS), 0 on the diagonal, is contracted into the distances'
+    gradient [W v, W 1], so no N x N gradient is formed."""
     a, t, theta = as_tensor(a), as_tensor(temperature), as_tensor(threshold)
     if not isinstance(a, _Distances):
         raise ContractError(
@@ -448,31 +451,16 @@ def sigmoid(a, temperature, threshold) -> Tensor:
             "sigmoid expects a 0-d temperature and a 0-d threshold, "
             f"got {t.shape} and {theta.shape}")
     n = a.shape[0]
-    values = np.empty((n, n))
     with np.errstate(over="ignore", under="ignore"):
-        for rows, cols, d in a.tile_pairs():
-            # a contiguous tile, then placed: about half the time of
-            # computing in the strided block of ``values``
-            s = np.empty_like(d)
-            _edge_weights(s, d, t, theta)
-            out = values[rows, cols]
-            out[...] = s
-            if rows != cols:
-                values[cols, rows] = out.T
-            del d, s
+        # contiguous tiles, then placed: about half the time of computing
+        # in the strided blocks of ``values``
+        values = _mirrored(n, ((rows, cols, _edge_weights(d, t, theta))
+                               for rows, cols, d in a.tile_pairs()))
 
-    def adjoint(terms: list) -> None:
-        g, lefts, rights = None, [], []
-        for term in terms:
-            if type(term) is tuple:
-                lefts.append(term[0])
-                rights.append(term[1])
-            elif g is None:
-                g = term
-            else:
-                g += term
-        if lefts:
-            x, y = np.hstack([*lefts, *rights]), np.hstack([*rights, *lefts])
+    def adjoint(g: np.ndarray | tuple[np.ndarray, np.ndarray]) -> None:
+        factors = type(g) is tuple
+        if factors:
+            x, y = np.hstack(g), np.hstack(g[::-1])
         k = a.rows.shape[1]
         v1 = np.empty((n, k + 1))
         v1[:, :k] = a.rows
@@ -480,13 +468,7 @@ def sigmoid(a, temperature, threshold) -> Tensor:
         m = np.zeros_like(v1)
         dt = dtheta = 0.0
         for rows, cols, d in a.tile_pairs():
-            if lefts:
-                h = x[rows] @ y[cols].T
-                if g is not None:
-                    h += g[rows, cols]
-                    h += g[cols, rows].T
-            else:
-                h = g[rows, cols] + g[cols, rows].T
+            h = x[rows] @ y[cols].T if factors else g[rows, cols] + g[cols, rows].T
             tile_dt, tile_dtheta = _edge_weight_grads(h, values[rows, cols], d, t, theta)
             share = 0.5 if rows == cols else 1.0
             dt += share * tile_dt

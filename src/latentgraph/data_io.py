@@ -249,7 +249,8 @@ def export_adjacency(adjacency, node_ids: Sequence[str], path) -> None:
 
 
 def write_history_csv(path, history) -> None:
-    """Per-epoch training log: epoch, lr, loss, train_acc, val_acc.
+    """Per-epoch training log: epoch, lr, loss, train_acc, val_acc. No
+    caller passes ``train`` a validation mask, so val_acc is always empty.
 
     Loss and accuracies come from the epoch's forward pass, before its
     Adam step: they score the parameters the epoch started with.

@@ -138,9 +138,9 @@ def soft_adjacency(embedding, edge: EdgeParams) -> Tensor:
     lazy distances and the two edge scalars computes it tile pair by tile
     pair, so the edge weights are the one N x N value stored. This is the
     one form the learned graph's ops take a gradient in: the distances only
-    through this sigmoid, and its edge weights into ``ad.row_normalize``
-    (or, as in the recovery objective, any elementwise consumer). The
-    result is exactly symmetric, has every entry strictly inside (0, 1)
+    through this sigmoid, its edge weights from one consumer, either
+    ``ad.row_normalize`` or an elementwise op as in the recovery objective.
+    The result is exactly symmetric, has every entry strictly inside (0, 1)
     barring float underflow at extreme saturation, equals
     sigmoid(temperature * threshold) on the diagonal, and is strictly
     decreasing in distance.

@@ -14,13 +14,16 @@ from latentgraph.data_io import TabularDataset
 def zero_fill_backward(loss):
     """Reference sweep: a zeroed gradient for every tape node up front, in
     the form the node takes (an empty list of shares for a
-    ``row_normalize`` output and of terms for edge weights, a zeroed
-    N x (k + 1) contraction for distances), each adjoint adds into it, and
-    every buffer is kept."""
+    ``row_normalize`` output, a zeroed N x (k + 1) contraction for
+    distances), each adjoint adds into it, and every buffer is kept. Edge
+    weights take one gradient, which becomes their buffer, so theirs
+    starts at None."""
     tape = ad.build_tape(loss)
     for t in tape:
-        if isinstance(t, (ad._RowNormalized, ad._EdgeWeights)):
+        if isinstance(t, ad._RowNormalized):
             t.grad = []
+        elif isinstance(t, ad._EdgeWeights):
+            t.grad = None
         elif isinstance(t, ad._Distances):
             t.grad = np.zeros((t.shape[0], t.rows.shape[1] + 1))
         else:

@@ -153,9 +153,8 @@ class TestSigmoid:
             expected = two_branch(x)
         # at t = -1 and theta = 0 the kernel computes 1 / (1 + exp(-x)); its
         # callers silence overflow and underflow, which are benign here
-        got = np.empty_like(x)
         with np.errstate(all="raise", over="ignore", under="ignore"):
-            ad._edge_weights(got, x, ad.as_tensor(-1.0), ad.as_tensor(0.0))
+            got = ad._edge_weights(x, ad.as_tensor(-1.0), ad.as_tensor(0.0))
         tiny = np.finfo(np.float64).tiny
         normal = expected >= tiny
         assert normal.any() and (~normal).any()
@@ -315,13 +314,6 @@ def learned_graph_conv(e, t, theta):
     return ad.matmul(ad.row_normalize(edge_weights(e, t, theta)), y)
 
 
-def edge_weights_with_two_terms(e, t, theta):
-    """Edge weights that take a dense gradient term and factors alike."""
-    s = edge_weights(e, t, theta)
-    y = np.random.default_rng(0).normal(size=s.shape)
-    return ad.add(s, ad.matmul(ad.row_normalize(s), y))
-
-
 def forward_and_gradients(op, values, weight):
     """Output of ``op`` on fresh parameters, and their gradients under the
     loss sum(op(...) * weight)."""
@@ -343,15 +335,12 @@ class TestSmallTiles:
         (distances_through_sigmoid, [(N, 4)], 1),
         (edge_weights, [(N, 4), (), ()], 1),
         (learned_graph_conv, [(N, 4), (), ()], 1),
-        (edge_weights_with_two_terms, [(N, 4), (), ()], 1),
         (distances_through_sigmoid, [(N, 4)], 4),
         (edge_weights, [(N, 4), (), ()], 4),
         (learned_graph_conv, [(N, 4), (), ()], 4),
-        (edge_weights_with_two_terms, [(N, 4), (), ()], 4),
     ], ids=["pairwise_euclidean", "edge_weights", "learned_graph_conv",
-            "edge_weights_with_two_terms", "pairwise_euclidean-four_row_tiles",
-            "edge_weights-four_row_tiles", "learned_graph_conv-four_row_tiles",
-            "edge_weights_with_two_terms-four_row_tiles"])
+            "pairwise_euclidean-four_row_tiles", "edge_weights-four_row_tiles",
+            "learned_graph_conv-four_row_tiles"])
     def test_forward_and_adjoint_match_one_tile(self, op, shapes, tile, monkeypatch):
         for _ in range(20):
             values = [RNG.uniform(-2.0, 2.0, size=s) for s in shapes]
@@ -437,11 +426,11 @@ class TestTilePairs:
         e = ad.parameter(RNG.normal(size=(n, k)))
         distances = ad.pairwise_euclidean(e)
         out = ad.sigmoid(distances, ad.parameter(np.asarray(1.5)), ad.parameter(np.asarray(2.0)))
-        terms = ([RNG.normal(size=(n, n))] if gradient == "dense" else
-                 [(RNG.normal(size=(n, 9)), RNG.normal(size=(n, 9)))])
+        g = (RNG.normal(size=(n, n)) if gradient == "dense" else
+             (RNG.normal(size=(n, 9)), RNG.normal(size=(n, 9))))
         tracemalloc.start()
         try:
-            out._adjoint(terms)
+            out._adjoint(g)
             distances._adjoint(distances.grad)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -602,6 +591,19 @@ class TestOneFormPerOp:
         with pytest.raises(ContractError, match="only for sigmoid's edge weights"):
             ad.row_normalize(a)
 
+    @pytest.mark.parametrize("consumers", [
+        lambda s, y: ad.add(s, ad.matmul(ad.row_normalize(s), y)),
+        lambda s, y: ad.mul(s, s),
+        lambda s, y: ad.add(ad.matmul(ad.row_normalize(s), y),
+                            ad.matmul(ad.row_normalize(s), y)),
+    ], ids=["dense_and_factors", "two_dense", "two_row_normalizes"])
+    def test_a_second_consumer_of_the_edge_weights_is_rejected(self, consumers):
+        e = ad.parameter(RNG.normal(size=(self.N, 3)))
+        s = edge_weights(e, 1.5, 2.0)
+        loss = ad.sum_all(consumers(s, RNG.normal(size=(self.N, self.N))))
+        with pytest.raises(ContractError, match="edge weights take a gradient from one consumer"):
+            ad.backward(loss)
+
     def test_row_normalize_takes_any_input_that_needs_no_gradient(self):
         e = RNG.normal(size=(self.N, 3))
         with ad.no_grad():
@@ -718,20 +720,20 @@ class TestGradientBuffers:
             "mul_scalar_right", "mul_self"])
     def test_gradients_are_owned_and_match_zero_fill(self, op, shapes, expected):
         # the op's first N x N operand is a learned graph's edge weights,
-        # which take its dense term, as in the recovery objective, beside
-        # the factors of the graph operator
+        # which take its dense term as their one gradient, as in the
+        # recovery objective; mul_self would hand them two, so its one
+        # operand is a plain parameter
         values = [RNG.uniform(-1.0, 1.0, size=s) for s in shapes]
         weight = RNG.normal(size=(self.N, self.N))
-        learned = [ad.parameter(RNG.normal(size=(self.N, 3))), ad.parameter(np.asarray(1.5)),
-                   ad.parameter(np.asarray(0.5))]
-        s = edge_weights(*learned)
-        first = [v.ndim for v in values].index(2)
         params = [ad.parameter(v.copy()) for v in values]
-        operands = [s if i == first else p for i, p in enumerate(params)]
-        y = np.random.default_rng(0).normal(size=(self.N, 2))
-        loss = ad.add(ad.sum_all(ad.mul(op(*operands), weight)),
-                      ad.sum_all(ad.matmul(ad.row_normalize(s), y)))
-        params = learned + [p for i, p in enumerate(params) if i != first]
+        operands = list(params)
+        if len(values) > 1:
+            learned = [ad.parameter(RNG.normal(size=(self.N, 3))),
+                       ad.parameter(np.asarray(1.5)), ad.parameter(np.asarray(0.5))]
+            first = [v.ndim for v in values].index(2)
+            operands[first] = edge_weights(*learned)
+            params = learned + [p for i, p in enumerate(params) if i != first]
+        loss = ad.sum_all(ad.mul(op(*operands), weight))
         zero_fill_backward(loss)
         reference = [p.grad.copy() for p in params]
         ad.backward(loss)
@@ -874,11 +876,10 @@ def skew_factors(shares):
     return [(1.01 * g, y, product) for g, y, product in shares]
 
 
-def skew_edge_weight_gradient(terms):
-    """The terms edge weights receive, dense arrays or factors (L, R) that
-    stand for L @ R.T, made 1% too large."""
-    return [(1.01 * term[0], term[1]) if isinstance(term, tuple) else 1.01 * term
-            for term in terms]
+def skew_edge_weight_gradient(g):
+    """The one gradient edge weights receive, a dense array or the factors
+    (L, R) that stand for L @ R.T, made 1% too large."""
+    return (1.01 * g[0], g[1]) if isinstance(g, tuple) else 1.01 * g
 
 
 class TestGradientCorrectness:

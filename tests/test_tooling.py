@@ -131,3 +131,11 @@ def test_every_private_definition_has_a_caller_in_src():
     orphans = [f"{module}:{node.lineno} {node.name}" for module, node in defined
                if not called_outside(module, node)]
     assert not orphans
+
+
+def test_no_line_under_src_or_tests_is_longer_than_99_columns():
+    long_lines = [f"{path.relative_to(ROOT)}:{number} ({len(line)})"
+                  for top in ("src", "tests") for path in sorted((ROOT / top).rglob("*.py"))
+                  for number, line in enumerate(path.read_text().splitlines(), 1)
+                  if len(line) > 99]
+    assert not long_lines
