@@ -127,13 +127,13 @@ def no_grad() -> Iterator[None]:
 
 
 class _RowNormalized(Tensor):
-    """P = A / rowsum(A), kept as A and its row sums: ``matmul`` multiplies
-    through them, and reading ``values`` forms P anew each time. Its
-    ``grad`` is the list of shares the matmuls that read it hand it."""
+    """P = A / rowsum(A), kept as the tensor A and its row sums: ``matmul``
+    multiplies through them, and reading ``values`` forms P anew each time.
+    Its ``grad`` is the list of shares the matmuls that read it hand it."""
 
     __slots__ = ("adjacency", "denom")
 
-    def __init__(self, adjacency: np.ndarray, denom: np.ndarray):
+    def __init__(self, adjacency: Tensor, denom: np.ndarray):
         self.adjacency, self.denom = adjacency, denom
         self.grad = None
         self.requires_grad = False
@@ -143,11 +143,20 @@ class _RowNormalized(Tensor):
 
     @property
     def values(self) -> np.ndarray:
-        return self.adjacency / self.denom
+        return self.adjacency.values / self.denom
 
     @property
     def shape(self) -> tuple[int, ...]:
         return self.adjacency.shape
+
+    def product(self, y: np.ndarray, transpose: bool = False) -> np.ndarray:
+        """A @ y, or A.T @ y, without the division by the row sums. Edge
+        weights walk their tile pairs, and are symmetric, so A.T is A."""
+        a = self.adjacency
+        if isinstance(a, _EdgeWeights):
+            return _product(a.tiles, y)
+        # A.T @ y as (y.T @ A).T runs faster for an N x N array
+        return (y.T @ a.values).T if transpose else a.values @ y
 
 
 class _Distances(Tensor):
@@ -181,14 +190,17 @@ class _Distances(Tensor):
     def values(self) -> np.ndarray:
         return _mirrored(len(self.rows), self.tile_pairs())
 
-    def _tile(self, rows: slice, cols: slice) -> np.ndarray:
+    def _tile(self, rows: slice, cols: slice, out: np.ndarray | None = None) -> np.ndarray:
         # d_ij = sqrt(-2 g_ij + (n_i + n_j)): a diagonal tile's Gram block
         # v_I @ v_I.T is one syrk call, exactly symmetric, and n_i + n_j ==
-        # n_j + n_i, so the tile is exactly symmetric too
+        # n_j + n_i, so the tile is exactly symmetric too. A tile made in
+        # ``out`` takes its broadcast sum from scratch too; a one-tile
+        # graph's kept tile takes new arrays
         v = self.rows
-        d = v[rows] @ v[cols].T
+        d = np.matmul(v[rows], v[cols].T, out=out)
         d *= -2.0
-        d += self.sq_norms[rows, None] + self.sq_norms[cols]
+        d += np.add(self.sq_norms[rows, None], self.sq_norms[cols],
+                    out=None if out is None else _scratch(1, d.shape))
         np.maximum(d, 0.0, out=d)
         np.sqrt(d, out=d)
         if rows == cols:
@@ -200,17 +212,38 @@ class _Distances(Tensor):
     def tile_pairs(self) -> Iterator[tuple[slice, slice, np.ndarray]]:
         """(I, J, D[I, J]) for every pair of ``TILE``-row blocks with J at
         or after I, in row order; D[J, I] is the transpose. A yielded tile
-        must not be written to, and a caller that drops it before asking for
-        the next holds one tile at a time."""
-        starts = range(0, len(self.rows), TILE)
-        for i in starts:
-            rows = slice(i, i + TILE)
-            for j in starts[i // TILE:]:
-                cols = slice(j, j + TILE)
-                yield rows, cols, self._tile(rows, cols) if self.tile is None else self.tile
+        must not be written to, and it is valid only until the next one is
+        asked for: every tile but a one-tile graph's is made in the same
+        scratch buffer."""
+        n = len(self.rows)
+        for i in range(0, n, TILE):
+            rows = slice(i, min(i + TILE, n))
+            for j in range(i, n, TILE):
+                cols = slice(j, min(j + TILE, n))
+                yield rows, cols, self.tile if self.tile is not None else self._tile(
+                    rows, cols, _scratch(0, (rows.stop - i, cols.stop - j)))
 
 
-def _mirrored(n: int, tiles: Iterator[tuple[slice, slice, np.ndarray]]) -> np.ndarray:
+# The tile loops' temporaries in graphs of more than one tile: a distance
+# tile (slot 0), its broadcast sum or the backward's q (slot 1) and the
+# backward's h (slot 2), each a view of one of three buffers of at least
+# TILE x TILE that the process keeps. Tile loops never nest. Reusing them
+# keeps each step from handing heap memory back to the system and faulting
+# it in again: allocated per tile or per loop, they raised the page faults of
+# 15 trainings at N=300 from 45k to about 300k. A one-tile graph allocates
+# its few small temporaries, which costs less than finding the views.
+_workspace: list[np.ndarray] = []
+
+
+def _scratch(slot: int, shape: tuple[int, int]) -> np.ndarray:
+    """Scratch buffer ``slot`` as a contiguous array of ``shape``, at most
+    TILE x TILE."""
+    if not _workspace or _workspace[0].size < TILE * TILE:
+        _workspace[:] = [np.empty(TILE * TILE) for _ in range(3)]
+    return _workspace[slot][:shape[0] * shape[1]].reshape(shape)
+
+
+def _mirrored(n: int, tiles) -> np.ndarray:
     """The N x N array with each tile (I, J, T) at [I, J] and, off the
     diagonal, T.T at [J, I]."""
     out = np.empty((n, n))
@@ -218,18 +251,53 @@ def _mirrored(n: int, tiles: Iterator[tuple[slice, slice, np.ndarray]]) -> np.nd
         out[rows, cols] = tile
         if rows != cols:
             out[cols, rows] = tile.T
-        del tile  # freed before the next tile is made
+    return out
+
+
+def _product(tiles: list[tuple[slice, slice, np.ndarray]], y: np.ndarray) -> np.ndarray:
+    """S @ y for the symmetric N x N matrix S whose upper tile pairs are
+    ``tiles``: each tile adds T @ y[J] to rows I and, off the diagonal,
+    T.T @ y[I] to rows J."""
+    out = np.zeros(y.shape)
+    for rows, cols, tile in tiles:
+        out[rows] += tile @ y[cols]
+        if rows != cols:
+            out[cols] += tile.T @ y[rows]
     return out
 
 
 class _EdgeWeights(Tensor):
-    """The output of ``sigmoid``, and the one input for which
+    """The output of ``sigmoid``: the symmetric edge weights S as the list
+    ``tiles`` of (I, J, S[I, J]) for every pair of ``TILE``-row blocks with
+    J at or after I, in row order. The tiles are contiguous and share one
+    packed buffer, which holds about half of S; a graph of at most ``TILE``
+    rows keeps its one array. Reading ``values`` returns that array, or
+    forms S anew, mirrored, each time. It is the one input for which
     ``row_normalize`` takes a gradient. Its ``grad`` is what its one
     consumer hands it: the factors (L, R) of the gradient L @ R.T from
     ``row_normalize``, or a dense N x N gradient from an elementwise
     consumer, as the recovery objective's."""
 
-    __slots__ = ()
+    __slots__ = ("tiles",)
+
+    def __init__(self, tiles: list[tuple[slice, slice, np.ndarray]]):
+        self.tiles = tiles
+        self.grad = None
+        self.requires_grad = False
+        self.op = None
+        self.parents = ()
+        self._adjoint = None
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        n = self.tiles[-1][1].stop
+        return (n, n)
+
+    @property
+    def values(self) -> np.ndarray:
+        if len(self.tiles) == 1:
+            return self.tiles[0][2]
+        return _mirrored(self.shape[0], self.tiles)
 
 
 def _record(values: np.ndarray | Tensor, op: str, inputs: tuple[Tensor, ...],
@@ -399,14 +467,15 @@ def relu(a) -> Tensor:
     return _record(values, "relu", (a,), adjoint)
 
 
-def _edge_weights(d: np.ndarray, t: Tensor, theta: Tensor) -> np.ndarray:
-    """sigmoid(t * (theta - d)) as 1 / (1 + exp(t * (d - theta))), in one
-    new contiguous buffer. exp overflows for t * (theta - d) < -709.78
-    (result 0, where the exact value is subnormal) and underflows for large
-    values (result 1); callers silence both benign flags. t * (d - theta)
-    has the same bits as -(t * (theta - d)), and at t = -1, theta = 0 the
-    same bits as -d."""
-    s = np.subtract(d, theta.values)
+def _edge_weights(d: np.ndarray, t: Tensor, theta: Tensor,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """sigmoid(t * (theta - d)) as 1 / (1 + exp(t * (d - theta))), in
+    ``out`` or one new contiguous buffer. exp overflows for
+    t * (theta - d) < -709.78 (result 0, where the exact value is
+    subnormal) and underflows for large values (result 1); callers silence
+    both benign flags. t * (d - theta) has the same bits as
+    -(t * (theta - d)), and at t = -1, theta = 0 the same bits as -d."""
+    s = np.subtract(d, theta.values, out=out)
     s *= t.values
     np.exp(s, out=s)
     s += 1.0
@@ -415,10 +484,11 @@ def _edge_weights(d: np.ndarray, t: Tensor, theta: Tensor) -> np.ndarray:
 
 
 def _edge_weight_grads(h: np.ndarray, s: np.ndarray, d: np.ndarray, t: Tensor,
-                       theta: Tensor) -> tuple[float, float]:
+                       theta: Tensor, q: np.ndarray) -> tuple[float, float]:
     """Scale ``h``, a gradient of s = sigmoid(t * (theta - d)), in place
-    into the gradient of d, and return the gradients of t and theta."""
-    q = np.subtract(1.0, s)
+    into the gradient of d, and return the gradients of t and theta; ``q``
+    is scratch of the same shape."""
+    np.subtract(1.0, s, out=q)
     q *= s
     h *= q
     np.subtract(theta.values, d, out=q)
@@ -433,15 +503,16 @@ def sigmoid(a, temperature, threshold) -> Tensor:
     """A learned graph's edge weights sigmoid(temperature * (threshold - d))
     over ``pairwise_euclidean``'s distances d, for two 0-d tensors, in one
     op; any other ``a`` raises ContractError. It runs once per pair of
-    ``TILE``-row blocks and mirrors each tile, so the result is exactly
-    symmetric and is the one N x N array stored. Backward, each tile pair
-    recomputes its distances (a graph of one tile keeps them) and forms the
-    gradient H = G[I, J] + G[J, I].T of its unordered pairs from the edge
-    weights' one gradient G: X[I] @ Y[J].T with X = [L, R], Y = [R, L] for
-    factors (L, R), two slices for a dense G. A diagonal tile counts each
-    pair twice, so its t and theta sums are halved. W = H / sqrt(d^2 +
-    DISTANCE_EPS), 0 on the diagonal, is contracted into the distances'
-    gradient [W v, W 1], so no N x N gradient is formed."""
+    ``TILE``-row blocks and keeps each upper tile pair once, packed, so the
+    result is exactly symmetric and no N x N array is stored (see
+    ``_EdgeWeights``). Backward, each tile pair recomputes its distances (a
+    graph of one tile keeps them) and forms the gradient
+    H = G[I, J] + G[J, I].T of its unordered pairs from the edge weights'
+    one gradient G: X[I] @ Y[J].T with X = [L, R], Y = [R, L] for factors
+    (L, R), two slices for a dense G. A diagonal tile counts each pair
+    twice, so its t and theta sums are halved. When the distances need a
+    gradient, W = H / sqrt(d^2 + DISTANCE_EPS), 0 on the diagonal, is
+    contracted into it as [W v, W 1], so no N x N gradient is formed."""
     a, t, theta = as_tensor(a), as_tensor(temperature), as_tensor(threshold)
     if not isinstance(a, _Distances):
         raise ContractError(
@@ -452,38 +523,54 @@ def sigmoid(a, temperature, threshold) -> Tensor:
             f"got {t.shape} and {theta.shape}")
     n = a.shape[0]
     with np.errstate(over="ignore", under="ignore"):
-        # contiguous tiles, then placed: about half the time of computing
-        # in the strided blocks of ``values``
-        values = _mirrored(n, ((rows, cols, _edge_weights(d, t, theta))
-                               for rows, cols, d in a.tile_pairs()))
+        if a.tile is not None:
+            everything = slice(0, n)
+            tiles = [(everything, everything, _edge_weights(a.tile, t, theta))]
+        else:
+            # the upper tile pairs hold (N^2 + sum of the diagonal tiles' sizes) / 2
+            packed = np.empty((n * n + sum(min(TILE, n - i) ** 2
+                                           for i in range(0, n, TILE))) // 2)
+            tiles, end = [], 0
+            for rows, cols, d in a.tile_pairs():
+                out = packed[end:end + d.size].reshape(d.shape)
+                end += d.size
+                tiles.append((rows, cols, _edge_weights(d, t, theta, out)))
 
     def adjoint(g: np.ndarray | tuple[np.ndarray, np.ndarray]) -> None:
         factors = type(g) is tuple
         if factors:
             x, y = np.hstack(g), np.hstack(g[::-1])
-        k = a.rows.shape[1]
-        v1 = np.empty((n, k + 1))
-        v1[:, :k] = a.rows
-        v1[:, k] = 1.0
-        m = np.zeros_like(v1)
+        if a.requires_grad:
+            k = a.rows.shape[1]
+            v1 = np.empty((n, k + 1))
+            v1[:, :k] = a.rows
+            v1[:, k] = 1.0
+            m = np.zeros_like(v1)
         dt = dtheta = 0.0
-        for rows, cols, d in a.tile_pairs():
-            h = x[rows] @ y[cols].T if factors else g[rows, cols] + g[cols, rows].T
-            tile_dt, tile_dtheta = _edge_weight_grads(h, values[rows, cols], d, t, theta)
+        for (rows, cols, d), (_, _, s) in zip(a.tile_pairs(), tiles):
+            if a.tile is None:
+                h, q = _scratch(2, s.shape), _scratch(1, s.shape)
+            else:
+                h, q = np.empty(s.shape), np.empty(s.shape)
+            if factors:
+                np.matmul(x[rows], y[cols].T, out=h)
+            else:
+                np.add(g[rows, cols], g[cols, rows].T, out=h)
+            tile_dt, tile_dtheta = _edge_weight_grads(h, s, d, t, theta, q)
             share = 0.5 if rows == cols else 1.0
             dt += share * tile_dt
             dtheta += share * tile_dtheta
-            q = np.multiply(d, d)
+            if not a.requires_grad:
+                continue
+            np.multiply(d, d, out=q)
             q += DISTANCE_EPS
             np.sqrt(q, out=q)
             h /= q
-            del q
             if rows == cols:
                 h.ravel()[::len(h) + 1] = 0.0
             else:
                 m[cols] += h.T @ v1[rows]
             m[rows] += h @ v1[cols]
-            del h, d
         if t.requires_grad:
             _accumulate(t, np.float64(dt))
         if theta.requires_grad:
@@ -494,7 +581,7 @@ def sigmoid(a, temperature, threshold) -> Tensor:
             else:
                 a.grad += m
 
-    return _record(_EdgeWeights(values), "sigmoid", (a, t, theta), adjoint)
+    return _record(_EdgeWeights(tiles), "sigmoid", (a, t, theta), adjoint)
 
 
 def tanh(a) -> Tensor:
@@ -535,8 +622,7 @@ def matmul(a, b) -> Tensor:
         raise DimensionError(
             f"matmul requires (m,k) x (k,n) operands, got {a.shape} x {b.shape}")
     operator = isinstance(a, _RowNormalized)
-    left = a.adjacency if operator else a.values
-    values = left @ b.values
+    values = a.product(b.values) if operator else a.values @ b.values
     if operator:
         values /= a.denom
 
@@ -549,8 +635,8 @@ def matmul(a, b) -> Tensor:
             else:
                 _accumulate(a, g @ b.values.T)
         if b.requires_grad:
-            # A.T @ g as (g.T @ A).T runs faster for the N x N operator
-            _accumulate(b, ((g / a.denom).T @ left).T if operator else left.T @ g)
+            _accumulate(b, a.product(g / a.denom, transpose=True) if operator
+                        else a.values.T @ g)
 
     return _record(values, "matmul", (a, b), adjoint)
 
@@ -610,7 +696,16 @@ def row_normalize(a) -> Tensor:
             "not for this input")
     if len(a.shape) != 2:
         raise DimensionError(f"row_normalize expects a matrix, got {a.shape}")
-    denom = a.values.sum(axis=1, keepdims=True)
+    if isinstance(a, _EdgeWeights):
+        # a tile's row sums go to its rows and, off the diagonal, its column
+        # sums to its columns
+        denom = np.zeros((a.shape[0], 1))
+        for rows, cols, tile in a.tiles:
+            denom[rows, 0] += tile.sum(axis=1)
+            if rows != cols:
+                denom[cols, 0] += tile.sum(axis=0)
+    else:
+        denom = a.values.sum(axis=1, keepdims=True)
     if not np.all(denom > 0.0):
         i = int(np.argmin(denom))  # the first NaN row, if there is one
         raise NumericalError(
@@ -628,7 +723,7 @@ def row_normalize(a) -> Tensor:
         right = np.hstack([*ys, np.ones((a.shape[0], 1))])
         _accumulate(a, (left, right))
 
-    return _record(_RowNormalized(a.values, denom), "row_normalize", (a,), adjoint)
+    return _record(_RowNormalized(a, denom), "row_normalize", (a,), adjoint)
 
 
 def row_softmax_cross_entropy(logits, labels, mask) -> Tensor:

@@ -86,7 +86,7 @@ def forward(features, params: ModelParams, adjacency=None) -> Tensor:
         a = gl.soft_adjacency(embedding, params.edge)
     else:
         a = ad.as_tensor(adjacency)
-    if a.values.ndim != 2 or a.shape[0] != a.shape[1]:
+    if len(a.shape) != 2 or a.shape[0] != a.shape[1]:
         raise DimensionError(f"adjacency must be square, got {a.shape}")
     if a.shape[1] != x.shape[0]:
         raise DimensionError(f"adjacency {a.shape} does not match features {x.shape}")

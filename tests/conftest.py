@@ -80,3 +80,16 @@ def forbid_forming_the_operator(monkeypatch):
     def forbid():
         monkeypatch.setattr(ad._RowNormalized, "values", property(formed))
     return forbid
+
+
+@pytest.fixture
+def forbid_mirroring_the_edge_weights(monkeypatch):
+    """Call it to make every later read of ``sigmoid``'s edge weights'
+    ``values``, which mirrors their tile pairs into an N x N array, fail
+    the test."""
+    def mirrored(self):
+        raise AssertionError("the edge weights were mirrored into an N x N array")
+
+    def forbid():
+        monkeypatch.setattr(ad._EdgeWeights, "values", property(mirrored))
+    return forbid

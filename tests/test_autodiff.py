@@ -506,15 +506,20 @@ class TestAffineSigmoid:
         assert np.array_equal(fused, expected)
         assert all(np.all(np.isfinite(g)) for g in [fused, *grads])
 
-    def test_constant_distances_get_no_grad(self):
+    def test_constant_distances_get_no_grad(self, monkeypatch):
+        # without the distances' gradient the adjoint skips their
+        # contraction; the gradients of t and theta keep the bits they have
+        # when the embedding is a parameter, in one tile and in several
         e, t, theta = self.inputs()
         weight = RNG.normal(size=(self.N, self.N))
-        _, grads = forward_and_gradients(edge_weights, [e, t, theta], weight)
-        scalars = [ad.parameter(t), ad.parameter(theta)]
-        distances = ad.pairwise_euclidean(e)
-        ad.backward(ad.sum_all(ad.mul(ad.sigmoid(distances, *scalars), weight)))
-        assert distances.grad is None
-        assert [p.grad for p in scalars] == grads[1:]
+        for tile in (self.N, 4, 1):
+            monkeypatch.setattr(ad, "TILE", tile)
+            _, grads = forward_and_gradients(edge_weights, [e, t, theta], weight)
+            scalars = [ad.parameter(t), ad.parameter(theta)]
+            distances = ad.pairwise_euclidean(e)
+            ad.backward(ad.sum_all(ad.mul(ad.sigmoid(distances, *scalars), weight)))
+            assert distances.grad is None
+            assert [p.grad.tobytes() for p in scalars] == [g.tobytes() for g in grads[1:]]
 
     # None is not read as a 0-d NaN: as_tensor rejects it
     @pytest.mark.parametrize("temperature, threshold, error, match", [

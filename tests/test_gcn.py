@@ -184,6 +184,69 @@ class TestTilesAgainstTheNumpyReference:
                             edge_gradients(2.0 * residual))
 
 
+class TestTileBoundaries:
+    """In tiles of 8 rows, graphs of TILE - 1, TILE + 1 and 2 TILE + 3
+    nodes: one tile, a partial last tile, and partial tiles off the
+    diagonal. Each consumer of the edge weights' tile pairs matches the
+    dense numpy chain, which a lost column sum or transpose term in an
+    off-diagonal or partial tile would break."""
+
+    TILE = 8
+
+    @pytest.fixture(autouse=True)
+    def small_tiles(self, monkeypatch):
+        monkeypatch.setattr(ad, "TILE", self.TILE)
+
+    @pytest.mark.parametrize("n", [TILE - 1, TILE + 1, 2 * TILE + 3])
+    def test_loss_and_every_parameter_gradient(self, n):
+        x, params = init_small_model(seed=n, n_nodes=n)
+        y, mask = np.arange(n) % 3, np.arange(n - 2)
+        tiled, tiled_grads = loss_and_gradients(
+            lambda: ad.row_softmax_cross_entropy(gcn.forward(x, params), y, mask),
+            params.tensors())
+        # the same loss over P = S / rowsum(S) from the numpy reference as a
+        # dense parameter, through plain matmuls; the closed forms take dP
+        # back to the embedding and the edge scalars, and the embedder's
+        # dense ops take the embedding's gradient back to its parameters
+        head = [*params.gc_weights, params.fc_weight, params.fc_bias]
+        s, edge_gradients = reference_graph(gl.embed(x, params.embedder), params.edge)
+        p = ad.parameter(s / s.sum(axis=1, keepdims=True))
+        reference, (dp, *head_grads) = loss_and_gradients(
+            lambda: ad.row_softmax_cross_entropy(gc_logits(p, x, params), y, mask),
+            [p, *head])
+        de, *edge_grads = edge_gradients(ref.row_normalize_vjp(s, dp))
+        _, embedder_grads = loss_and_gradients(
+            lambda: ad.sum_all(ad.mul(gl.embed(x, params.embedder), de)),
+            params.embedder.tensors())
+        # the distances stay put when every embedding row moves alike, so
+        # the embedder's output bias has a gradient of 0 up to rounding
+        output_bias = len(embedder_grads) - 1
+        np.testing.assert_allclose(tiled_grads.pop(output_bias), embedder_grads.pop(),
+                                   rtol=0.0, atol=1e-15)
+        TestTilesAgainstTheNumpyReference.assert_matches(
+            tiled, tiled_grads, reference, [*embedder_grads, *edge_grads, *head_grads])
+
+    @pytest.mark.parametrize("n", [TILE - 1, TILE + 1, 2 * TILE + 3])
+    def test_row_sums_and_products(self, n):
+        # the row sums, both GC products P @ Y and the backward product
+        # P.T @ G, which the tiles form as S @ (G / rowsum(S))
+        rng = np.random.default_rng(n)
+        e = rng.normal(size=(n, 3))
+        edge = gl.init_edge_params(e)
+        operator = ad.row_normalize(gl.soft_adjacency(e, edge))
+        s = ref.edge_weights(e, edge.temperature().values, edge.threshold.values)
+        np.testing.assert_allclose(operator.denom, s.sum(axis=1, keepdims=True),
+                                   rtol=1e-12, atol=0.0)
+        p = s / s.sum(axis=1, keepdims=True)
+        ys = [ad.parameter(rng.normal(size=(n, width))) for width in (5, 2)]
+        gs = [rng.normal(size=(n, width)) for width in (5, 2)]
+        products = [ad.matmul(operator, y) for y in ys]
+        ad.backward(ad.add(*(ad.sum_all(ad.mul(out, g)) for out, g in zip(products, gs))))
+        for y, out, g in zip(ys, products, gs):
+            np.testing.assert_allclose(out.values, p @ y.values, rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(y.grad, p.T @ g, rtol=1e-12, atol=1e-15)
+
+
 class TestInitModel:
     def test_records_no_op(self, monkeypatch):
         # the edge scalars are calibrated on the initial embedding's values,
