@@ -15,10 +15,13 @@ the leaves and the root hold one.
 Every N x N path starts at ``pairwise_euclidean``, which alone enforces
 ``MAX_GRAPH_NODES``. Its distances are lazy: they keep the embedding rows
 and their norms, and ``sigmoid`` computes the learned graph's edge weights
-from them once per pair of ``TILE``-row blocks, so the edge weights are
-the one N x N array a learned graph stores. ``row_normalize`` keeps only
-its input's row sums, and the matmuls that read the normalized operator P
-multiply through the input and those sums, so P is never formed.
+from them once per pair of ``TILE``-row blocks. It keeps each upper tile
+pair (I, J >= I) once, in one packed buffer of about half an N x N array,
+and never mirrors them; that buffer is the one N x N value a learned graph
+stores. ``row_normalize`` keeps only its input's row sums, summed tile by
+tile, and the matmuls that read the normalized operator P multiply
+through the tiles and those sums, so P is never formed, and neither is
+the N x N array of edge weights unless a caller reads their ``values``.
 
 Each lazy N x N output takes its input and its gradient in one form, the
 model's: distances only through ``sigmoid``, edge weights into
@@ -50,10 +53,11 @@ from .errors import ContractError, DimensionError, NumericalError
 DISTANCE_EPS = 1e-12
 
 # Most rows ``pairwise_euclidean`` takes: one N x N float64 matrix is 8 N^2
-# bytes (3.2 GB at the cap), and a training step peaks at 1.18 of them,
-# ``evaluate`` at 1.03, the kNN baseline at 1.07 and threshold calibration
-# at 0.51 (tracemalloc, N=2000), per fold worker process. It bounds the matrix
-# size only; it does not check available memory.
+# bytes (3.2 GB at the cap). The learned graph keeps its upper tile pairs,
+# about half of one, and a training step peaks at 0.65 of them, ``evaluate``
+# at 0.56, the kNN baseline at 1.08 and threshold calibration at 0.53
+# (tracemalloc, N=2000), per fold worker process. It bounds the matrix size
+# only; it does not check available memory.
 MAX_GRAPH_NODES = 20_000
 
 # Rows per tile of the distances and edge weights, and per block of the
@@ -230,8 +234,9 @@ class _Distances(Tensor):
 # TILE x TILE that the process keeps. Tile loops never nest. Reusing them
 # keeps each step from handing heap memory back to the system and faulting
 # it in again: allocated per tile or per loop, they raised the page faults of
-# 15 trainings at N=300 from 45k to about 300k. A one-tile graph allocates
-# its few small temporaries, which costs less than finding the views.
+# 15 trainings at N=300 (one BLAS thread) from 45k to about 300k. A one-tile
+# graph allocates its few small temporaries, which costs less than finding
+# the views.
 _workspace: list[np.ndarray] = []
 
 
@@ -508,8 +513,8 @@ def sigmoid(a, temperature, threshold) -> Tensor:
     ``_EdgeWeights``). Backward, each tile pair recomputes its distances (a
     graph of one tile keeps them) and forms the gradient
     H = G[I, J] + G[J, I].T of its unordered pairs from the edge weights'
-    one gradient G: X[I] @ Y[J].T with X = [L, R], Y = [R, L] for factors
-    (L, R), two slices for a dense G. A diagonal tile counts each pair
+    one gradient G: L[I] @ R[J].T + R[I] @ L[J].T for factors (L, R), two
+    slices for a dense G. A diagonal tile counts each pair
     twice, so its t and theta sums are halved. When the distances need a
     gradient, W = H / sqrt(d^2 + DISTANCE_EPS), 0 on the diagonal, is
     contracted into it as [W v, W 1], so no N x N gradient is formed."""
@@ -538,8 +543,6 @@ def sigmoid(a, temperature, threshold) -> Tensor:
 
     def adjoint(g: np.ndarray | tuple[np.ndarray, np.ndarray]) -> None:
         factors = type(g) is tuple
-        if factors:
-            x, y = np.hstack(g), np.hstack(g[::-1])
         if a.requires_grad:
             k = a.rows.shape[1]
             v1 = np.empty((n, k + 1))
@@ -553,7 +556,11 @@ def sigmoid(a, temperature, threshold) -> Tensor:
             else:
                 h, q = np.empty(s.shape), np.empty(s.shape)
             if factors:
-                np.matmul(x[rows], y[cols].T, out=h)
+                # two products in scratch rather than one over N-row copies
+                # [L, R] and [R, L]: the copies made a step at N=300 give heap
+                # memory back and fault it in again, in about half the runs
+                np.matmul(g[0][rows], g[1][cols].T, out=h)
+                h += np.matmul(g[1][rows], g[0][cols].T, out=q)
             else:
                 np.add(g[rows, cols], g[cols, rows].T, out=h)
             tile_dt, tile_dtheta = _edge_weight_grads(h, s, d, t, theta, q)
@@ -677,10 +684,10 @@ def row_normalize(a) -> Tensor:
     other row, NaN included, raises a NumericalError naming the offending
     row.
 
-    Only the row sums are computed: the result keeps ``a`` and them, and
-    ``matmul`` multiplies through both, so P itself is never stored.
-    Reading the result's ``values`` costs one N x N pass and a fresh N x N
-    array each time.
+    Only the row sums are computed, from the tile pairs for edge weights:
+    the result keeps ``a`` and them, and ``matmul`` multiplies through
+    both, so P itself is never stored. Reading the result's ``values``
+    costs one N x N pass and a fresh N x N array each time.
 
     The result takes a gradient only as ``matmul``'s left operand; any
     other consumer that would hand it one raises ContractError in the

@@ -9,8 +9,9 @@ the embedded pairwise distances,
 so edges decay smoothly with embedded distance and the temperature
 sharpens the graph toward a binary one as it grows. Both scalars are
 trained jointly with everything else. The affine map is folded into the
-sigmoid op, and the distances are lazy, so a step stores one N x N array
-here, the edge weights.
+sigmoid op, and the distances are lazy, so a step stores one N x N value
+here, the edge weights, as their upper tile pairs: about half an N x N
+array.
 """
 
 from __future__ import annotations
@@ -121,7 +122,6 @@ def init_edge_params(initial_embedding) -> EdgeParams:
             pairs = d[np.triu_indices(len(d), 1)] if rows == cols else d.ravel()
             upper[filled:filled + pairs.size] = pairs
             filled += pairs.size
-            del d, pairs  # freed before the next tile is made
         threshold = float(np.median(upper, overwrite_input=True))
     raw_temperature = float(np.log(np.expm1(INITIAL_TEMPERATURE)))
     return EdgeParams(
@@ -136,7 +136,9 @@ def soft_adjacency(embedding, edge: EdgeParams) -> Tensor:
     Entry (i, j) is sigmoid(temperature * (threshold - d_ij)) where d_ij
     is the embedded Euclidean distance; one ``ad.sigmoid`` call on the
     lazy distances and the two edge scalars computes it tile pair by tile
-    pair, so the edge weights are the one N x N value stored. This is the
+    pair and keeps each upper tile pair once, so the edge weights are the
+    one N x N value stored, in about half an N x N array; reading their
+    ``values`` forms the whole array. This is the
     one form the learned graph's ops take a gradient in: the distances only
     through this sigmoid, its edge weights from one consumer, either
     ``ad.row_normalize`` or an elementwise op as in the recovery objective.

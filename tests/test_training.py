@@ -365,9 +365,9 @@ class TestTrain:
         # row_normalize hands them on to sigmoid, and sigmoid's adjoint works
         # tile pair by tile pair, so the peak is the edge weights' upper tile
         # pairs, about 0.53 of an N x N buffer, plus tiles and thin arrays:
-        # 0.70 in all
+        # 0.65 in all
         buffers = traced_step_buffers(monkeypatch)
-        assert buffers <= 0.9, f"{buffers:.2f} N x N buffers"
+        assert buffers <= 0.8, f"{buffers:.2f} N x N buffers"
 
     def test_graph_operator_is_never_formed(self, blobs, forbid_forming_the_operator):
         # P = A / rowsum(A) is read only through A and its row sums, in
