@@ -18,9 +18,9 @@ and their norms, and ``sigmoid`` computes the learned graph's edge weights
 from them once per pair of ``TILE``-row blocks. It keeps each upper tile
 pair (I, J >= I) once, in one packed buffer of about half an N x N array,
 and never mirrors them; that buffer is the one N x N value a learned graph
-stores. ``row_normalize`` keeps only its input's row sums, summed tile by
-tile, and the matmuls that read the normalized operator P multiply
-through the tiles and those sums, so P is never formed, and neither is
+stores. ``row_normalize`` keeps only its input's row sums, S @ 1 by the
+tile-pair product, and the matmuls that read the normalized operator P
+multiply through the tiles and those sums, so P is never formed, nor is
 the N x N array of edge weights unless a caller reads their ``values``.
 
 Each lazy N x N output takes its input and its gradient in one form, the
@@ -684,10 +684,10 @@ def row_normalize(a) -> Tensor:
     other row, NaN included, raises a NumericalError naming the offending
     row.
 
-    Only the row sums are computed, from the tile pairs for edge weights:
-    the result keeps ``a`` and them, and ``matmul`` multiplies through
-    both, so P itself is never stored. Reading the result's ``values``
-    costs one N x N pass and a fresh N x N array each time.
+    Only the row sums are computed, for edge weights as S @ 1 by the
+    tile-pair product: the result keeps ``a`` and them, and ``matmul``
+    multiplies through both, so P itself is never stored. Reading the
+    result's ``values`` costs one N x N pass and a fresh N x N array each time.
 
     The result takes a gradient only as ``matmul``'s left operand; any
     other consumer that would hand it one raises ContractError in the
@@ -704,13 +704,7 @@ def row_normalize(a) -> Tensor:
     if len(a.shape) != 2:
         raise DimensionError(f"row_normalize expects a matrix, got {a.shape}")
     if isinstance(a, _EdgeWeights):
-        # a tile's row sums go to its rows and, off the diagonal, its column
-        # sums to its columns
-        denom = np.zeros((a.shape[0], 1))
-        for rows, cols, tile in a.tiles:
-            denom[rows, 0] += tile.sum(axis=1)
-            if rows != cols:
-                denom[cols, 0] += tile.sum(axis=0)
+        denom = _product(a.tiles, np.ones((a.shape[0], 1)))
     else:
         denom = a.values.sum(axis=1, keepdims=True)
     if not np.all(denom > 0.0):

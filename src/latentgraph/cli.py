@@ -67,13 +67,15 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
                    help="bin edges to quantize a continuous label column")
     p.add_argument("--no-standardize", action="store_true",
                    help="skip per-column standardization of the features")
-    p.add_argument("--epochs", type=int, default=600)
-    p.add_argument("--lr", type=float, default=0.01)
-    p.add_argument("--lr-min", type=float, default=0.0001)
-    p.add_argument("--embed-hidden", type=_list_of(int, "integers"), default=[64],
+    p.add_argument("--epochs", type=int, default=training.TrainConfig.epochs)
+    p.add_argument("--lr", type=float, default=training.TrainConfig.lr0)
+    p.add_argument("--lr-min", type=float, default=training.TrainConfig.lr_min)
+    p.add_argument("--embed-hidden", type=_list_of(int, "integers"),
+                   default=list(training.TrainConfig.embed_hidden),
                    help="comma-separated hidden widths of the embedding MLP")
-    p.add_argument("--embed-dim", type=int, default=16)
-    p.add_argument("--gc-widths", type=_list_of(int, "integers"), default=[16, 8],
+    p.add_argument("--embed-dim", type=int, default=training.TrainConfig.embed_dim)
+    p.add_argument("--gc-widths", type=_list_of(int, "integers"),
+                   default=list(training.TrainConfig.gc_widths),
                    help="comma-separated graph-convolution layer widths")
 
 
@@ -95,7 +97,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("cross-validate", parents=[seeded],
                        help="stratified k-fold CV; prints accuracy and AUC")
     _add_model_flags(p)
-    p.add_argument("--folds", type=int, default=10)
+    p.add_argument("--folds", type=int, default=training.TrainConfig.folds)
     p.add_argument("--with-baselines", type=int, nargs="?", const=10, default=None,
                    metavar="K", help="also report ridge and static K-nearest-neighbour-"
                    "graph baselines (K defaults to 10)")
@@ -113,17 +115,17 @@ def build_parser() -> _Parser:
     p = sub.add_parser("synth-recover", parents=[seeded],
                        help="recover a random graph from neighbor-sum targets")
     p.add_argument("--nodes", type=int, default=10)
-    p.add_argument("--dim", type=int, default=8)
-    p.add_argument("--edge-prob", type=float, default=0.3)
-    p.add_argument("--iterations", type=int, default=2000)
+    p.add_argument("--dim", type=int, default=synthetic.RecoveryConfig.embedding_dim)
+    p.add_argument("--edge-prob", type=float, default=synthetic.RECOVERY_EDGE_PROB)
+    p.add_argument("--iterations", type=int, default=synthetic.RecoveryConfig.iterations)
 
     p = sub.add_parser("synth-curves", parents=[common],
                        help="recovery error over node-count/dimension grids")
     p.add_argument("--nodes", type=_list_of(int, "integers"), default=[5, 10, 20])
     p.add_argument("--dims", type=_list_of(int, "integers"), default=[2, 8, 16])
     p.add_argument("--seeds", type=int, default=5, help="seeds per cell: 0, 1, ...")
-    p.add_argument("--edge-prob", type=float, default=0.3)
-    p.add_argument("--iterations", type=int, default=2000)
+    p.add_argument("--edge-prob", type=float, default=synthetic.RECOVERY_EDGE_PROB)
+    p.add_argument("--iterations", type=int, default=synthetic.RecoveryConfig.iterations)
 
     sub.add_parser("gradcheck", parents=[seeded],
                    help="finite-difference check of every autodiff operation")

@@ -16,11 +16,11 @@ from .errors import DimensionError
 
 @dataclass
 class ModelParams:
-    """Every trainable tensor of the model.
+    """Every trainable tensor of the model, and its static graph if any.
 
-    ``embedder`` and ``edge`` are None for the static-graph variant that
-    trains over a fixed adjacency instead of learning one. The graph
-    convolutions have no bias; the FC head does.
+    ``embedder`` and ``edge`` are None for the static-graph variant, which
+    keeps its fixed adjacency, row-normalized once, as ``graph``. The
+    graph convolutions have no bias; the FC head does.
     """
 
     embedder: gl.EmbedderParams | None
@@ -28,34 +28,38 @@ class ModelParams:
     gc_weights: list[Tensor]
     fc_weight: Tensor
     fc_bias: Tensor
+    graph: Tensor | None
 
     def tensors(self) -> list[Tensor]:
-        out: list[Tensor] = []
-        if self.embedder is not None:
-            out.extend(self.embedder.tensors())
-        if self.edge is not None:
-            out.extend(self.edge.tensors())
-        return [*out, *self.gc_weights, self.fc_weight, self.fc_bias]
+        learned = [] if self.graph is not None else [
+            *self.embedder.tensors(), *self.edge.tensors()]
+        return [*learned, *self.gc_weights, self.fc_weight, self.fc_bias]
 
 
 def init_model(features: np.ndarray, n_classes: int, *,
                embed_hidden: Sequence[int] = (64,), embed_dim: int = 16,
                gc_widths: Sequence[int] = (16, 8),
-               rng: np.random.Generator, learn_graph: bool = True) -> ModelParams:
+               rng: np.random.Generator,
+               adjacency: np.ndarray | None = None) -> ModelParams:
     """Initialize all parameters for an N x d feature matrix.
 
     The edge scalars are calibrated on the embedding of ``features``
     under the freshly initialized embedder, so the initial graph starts
-    with a sensible mix of strong and weak edges.
+    with a sensible mix of strong and weak edges. A square ``adjacency``
+    over every node replaces them: the model keeps it row-normalized once.
     """
     features = np.asarray(features, dtype=np.float64)
     n_features = features.shape[1]
-    embedder = None
-    edge = None
-    if learn_graph:
+    embedder = edge = graph = None
+    if adjacency is None:
         embedder = gl.init_embedder([n_features, *embed_hidden, embed_dim], rng)
         with ad.no_grad():
             edge = gl.init_edge_params(gl.embed(features, embedder))
+    else:
+        a = ad.as_tensor(adjacency)
+        if len(a.shape) != 2 or a.shape[0] != a.shape[1]:
+            raise DimensionError(f"adjacency must be square, got {a.shape}")
+        graph = ad.row_normalize(a)
     gc_weights = []
     width_in = n_features
     for width_out in gc_widths:
@@ -64,33 +68,27 @@ def init_model(features: np.ndarray, n_classes: int, *,
     fc_weight = ad.parameter(gl.glorot_uniform(rng, width_in, n_classes))
     fc_bias = ad.parameter(np.zeros((1, n_classes)))
     return ModelParams(embedder=embedder, edge=edge, gc_weights=gc_weights,
-                       fc_weight=fc_weight, fc_bias=fc_bias)
+                       fc_weight=fc_weight, fc_bias=fc_bias, graph=graph)
 
 
-def forward(features, params: ModelParams, adjacency=None) -> Tensor:
+def forward(features, params: ModelParams) -> Tensor:
     """Logits for every node.
 
     Pipeline: embed -> soft adjacency -> stacked graph convolutions with
     ReLU after each -> linear FC head. Each convolution maps row i to
     (sum_j a_ij * h_j / sum_j a_ij) @ W; the adjacency's row sums are
     computed once per forward pass and shared by all layers, and the
-    normalized adjacency is never formed. Passing ``adjacency``
-    short-circuits the graph-learning stage (static-graph baseline).
+    normalized adjacency is never formed. A static-graph model skips the
+    graph-learning stage; its ``graph`` must have a row per feature row.
     """
     x = ad.as_tensor(features)
-    if adjacency is None:
-        if params.embedder is None or params.edge is None:
-            raise DimensionError(
-                "model has no graph-learning parameters; pass an adjacency")
-        embedding = gl.embed(x, params.embedder)
-        a = gl.soft_adjacency(embedding, params.edge)
+    if params.graph is None:
+        operator = ad.row_normalize(
+            gl.soft_adjacency(gl.embed(x, params.embedder), params.edge))
     else:
-        a = ad.as_tensor(adjacency)
-    if len(a.shape) != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionError(f"adjacency must be square, got {a.shape}")
-    if a.shape[1] != x.shape[0]:
-        raise DimensionError(f"adjacency {a.shape} does not match features {x.shape}")
-    operator = ad.row_normalize(a)
+        operator = params.graph
+        if operator.shape[0] != x.shape[0]:
+            raise DimensionError(f"adjacency {operator.shape} does not match features {x.shape}")
     h = x
     for w in params.gc_weights:
         h = ad.relu(ad.matmul(operator, ad.matmul(h, w)))

@@ -65,6 +65,8 @@ def neighbor_sum_targets(adjacency: np.ndarray, features) -> np.ndarray:
 RECOVERY_HIDDEN = (64,)
 RECOVERY_LR = 0.01
 RECOVERY_MAX_LOSS = 1e6
+# Default edge probability of the study's random graphs.
+RECOVERY_EDGE_PROB = 0.3
 # Edge weight at or above which a learned entry counts as an edge.
 EDGE_CUTOFF = 0.5
 
@@ -177,7 +179,7 @@ def _run_recovery_cell(args) -> RecoveryCell:
 
 
 def recovery_curves(n_list: Sequence[int], dim_list: Sequence[int],
-                    seeds: Sequence[int], edge_probability: float = 0.3,
+                    seeds: Sequence[int], edge_probability: float = RECOVERY_EDGE_PROB,
                     base_cfg: RecoveryConfig | None = None) -> list[RecoveryCell]:
     """Recovery error over a (node count, embedding dim, seed) grid.
 

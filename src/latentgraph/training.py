@@ -173,7 +173,8 @@ def train(dataset, cfg: TrainConfig, train_mask=None, val_mask=None,
 
     ``dataset`` needs ``X`` (N x d) and ``y`` (N integer labels); the loss
     only sees rows selected by ``train_mask`` (default: all). Returns the
-    final parameters and the per-epoch history. Deterministic given
+    final parameters and the per-epoch history; with ``adjacency`` they
+    keep that fixed graph in place of a learned one. Deterministic given
     ``cfg.seed``. A non-finite loss or row sum aborts with diagnostics.
     """
     x = np.asarray(dataset.X, dtype=np.float64)
@@ -187,14 +188,14 @@ def train(dataset, cfg: TrainConfig, train_mask=None, val_mask=None,
     params = gcn.init_model(
         x[train_idx], int(y.max()) + 1, embed_hidden=cfg.embed_hidden,
         embed_dim=cfg.embed_dim, gc_widths=cfg.gc_widths, rng=rng,
-        learn_graph=adjacency is None)
+        adjacency=adjacency)
     tensors = params.tensors()
     state = AdamState(tensors)
     history: list[EpochRecord] = []
     for epoch in range(cfg.epochs):
         lr = lr_schedule(epoch, cfg)
         try:
-            logits = gcn.forward(x, params, adjacency=adjacency)
+            logits = gcn.forward(x, params)
             loss = ad.row_softmax_cross_entropy(logits, y, train_idx)
             loss_value = loss.item()
             if not np.isfinite(loss_value):
@@ -304,9 +305,9 @@ def macro_ovr_auc(scores: np.ndarray, labels: np.ndarray) -> Optional[float]:
     return float(np.mean(per_class))
 
 
-def evaluate(params: gcn.ModelParams, dataset, mask,
-             adjacency: Optional[np.ndarray] = None) -> Metrics:
-    """Accuracy and macro OvR AUC (from softmax probabilities) on ``mask``.
+def evaluate(params: gcn.ModelParams, dataset, mask) -> Metrics:
+    """Accuracy and macro OvR AUC (from softmax probabilities) on ``mask``,
+    over the model's graph: learned from ``dataset.X``, or its static one.
 
     ``dataset.y`` must hold integer class ids, as the training loss reads
     them; float labels raise ContractError instead of scoring silently.
@@ -317,7 +318,7 @@ def evaluate(params: gcn.ModelParams, dataset, mask,
     if idx.size == 0:
         raise ContractError("evaluation mask must be non-empty")
     with ad.no_grad():
-        logits = gcn.forward(x, params, adjacency=adjacency)
+        logits = gcn.forward(x, params)
     e = np.exp(logits.values - logits.values.max(axis=1, keepdims=True))
     probs = e / e.sum(axis=1, keepdims=True)
     preds = gcn.predict(logits)
@@ -374,7 +375,7 @@ def _run_cv_fold(dataset, cfg: TrainConfig, split: FoldSplit,
                  adjacency: Optional[np.ndarray], fold: int) -> Metrics:
     params, _ = train(dataset, cfg, train_mask=split.train_indices[fold],
                       adjacency=adjacency)
-    return evaluate(params, dataset, split.test_indices[fold], adjacency=adjacency)
+    return evaluate(params, dataset, split.test_indices[fold])
 
 
 def cross_validate(dataset, cfg: TrainConfig,
@@ -384,10 +385,10 @@ def cross_validate(dataset, cfg: TrainConfig,
 
     Every fold trains on the whole graph with only its train rows
     labeled, then scores the held-out rows. Without ``adjacency`` the
-    graph is learned; with one (e.g. :func:`knn_adjacency`) every fold
-    trains on that fixed graph. Fold jobs run through :func:`parallel_map`
-    with ``n_workers``; the dataset, the split and the adjacency are
-    shared, so a job is its fold number.
+    graph is learned; with one (e.g. :func:`knn_adjacency`) every fold's
+    model keeps it, row-normalized once. Fold jobs run through
+    :func:`parallel_map` with ``n_workers``; the dataset, the split and the
+    adjacency are shared, so a job is its fold number.
     """
     split = stratified_kfold(dataset.y, cfg.folds, cfg.seed)
     return CVMetrics(folds=parallel_map(_run_cv_fold, range(cfg.folds), n_workers,
@@ -395,12 +396,14 @@ def cross_validate(dataset, cfg: TrainConfig,
 
 
 def inductive_infer(params: gcn.ModelParams, train_X, test_X) -> np.ndarray:
-    """Predict labels for unseen nodes with frozen parameters.
+    """Predict labels for unseen nodes with a frozen learned-graph model.
 
     The union of training and test rows is embedded, the adjacency is
     built over that union, and predictions are returned for the test rows
     only, so unseen nodes receive messages from the training population.
     """
+    if params.graph is not None:
+        raise ContractError("a model trained over a fixed graph cannot infer unseen rows")
     train_X = np.asarray(train_X, dtype=np.float64)
     test_X = np.asarray(test_X, dtype=np.float64)
     if train_X.shape[1] != test_X.shape[1]:

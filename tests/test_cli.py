@@ -1,5 +1,7 @@
+import argparse
 import csv
 import dataclasses
+import inspect
 import json
 import re
 import shlex
@@ -8,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from latentgraph import cli
+from latentgraph import cli, synthetic, training
 
 from conftest import make_blobs, write_dataset_csv
 
@@ -232,6 +234,34 @@ class TestRunRecord:
                               for c in self.COMMANDS))
         keys = json_keys(json.loads((out / "metrics.json").read_text()))
         assert keys and not keys & flags
+
+    @staticmethod
+    def default_record(argv, tmp_path, monkeypatch) -> dict:
+        """The run record of ``argv`` with every other flag at its default;
+        the command itself does not run."""
+        monkeypatch.setitem(cli._COMMANDS, argv[0], lambda args, out_dir: 0)
+        assert cli.run([*argv, "--out-dir", str(tmp_path)]) == 0
+        return json.loads((tmp_path / "run.json").read_text())
+
+    @pytest.mark.parametrize("command", ["train", "cross-validate"])
+    def test_model_flags_default_to_the_train_config(self, command, data_csv, tmp_path,
+                                                     monkeypatch):
+        # the configs hold the shipped defaults; a default changed there
+        # must reach the command line
+        record = self.default_record([command, "--data", str(data_csv), "--label-col", "dx"],
+                                     tmp_path, monkeypatch)
+        assert cli._train_config(argparse.Namespace(**record)) == training.TrainConfig()
+
+    @pytest.mark.parametrize("command", ["synth-recover", "synth-curves"])
+    def test_recovery_flags_default_to_the_recovery_config(self, command, tmp_path,
+                                                           monkeypatch):
+        record = self.default_record([command], tmp_path, monkeypatch)
+        defaults = synthetic.RecoveryConfig()
+        edge_prob = inspect.signature(synthetic.recovery_curves).parameters["edge_probability"]
+        assert (record["iterations"], record["edge_prob"]) == (defaults.iterations,
+                                                                edge_prob.default)
+        if command == "synth-recover":
+            assert (record["dim"], record["seed"]) == (defaults.embedding_dim, defaults.seed)
 
 
 class TestCrossValidate:

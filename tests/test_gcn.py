@@ -74,11 +74,11 @@ def gc_layer(a, h, w):
     return ad.matmul(ad.row_normalize(a), ad.matmul(h, w)).values
 
 
-def init_small_model(n_features=4, n_classes=3, seed=5, n_nodes=10):
+def init_small_model(n_features=4, n_classes=3, seed=5, n_nodes=10, adjacency=None):
     rng = np.random.default_rng(seed)
     x = np.random.default_rng(seed + 1).normal(size=(n_nodes, n_features))
     params = gcn.init_model(x, n_classes, embed_hidden=(6,), embed_dim=3,
-                            gc_widths=(5, 4), rng=rng)
+                            gc_widths=(5, 4), rng=rng, adjacency=adjacency)
     return x, params
 
 
@@ -291,13 +291,11 @@ class TestForward:
 
     @pytest.mark.parametrize("static", [False, True])
     def test_shared_operator_matches_gc_layer_composition(self, static):
-        x, params = init_small_model(seed=9)
-        if static:
-            a = np.abs(RNG.normal(size=(10, 10))) + 0.05
-            logits = gcn.forward(x, params, adjacency=a).values
-        else:
+        a = np.abs(RNG.normal(size=(10, 10))) + 0.05 if static else None
+        x, params = init_small_model(seed=9, adjacency=a)
+        if not static:
             a = gl.soft_adjacency(gl.embed(x, params.embedder), params.edge).values
-            logits = gcn.forward(x, params).values
+        logits = gcn.forward(x, params).values
         h = x
         for w in params.gc_weights:
             h = ad.relu(gc_layer(a, h, w))
@@ -305,18 +303,20 @@ class TestForward:
         np.testing.assert_allclose(logits, expected, rtol=0.0, atol=1e-12)
 
     def test_static_adjacency_path(self):
-        x, params = init_small_model()
         a = np.abs(RNG.normal(size=(10, 10))) + 0.05
-        logits = gcn.forward(x, params, adjacency=a).values
+        x, params = init_small_model(adjacency=a)
+        logits = gcn.forward(x, params).values
         assert np.all(np.isfinite(logits))
 
     @pytest.mark.parametrize("shape, message", [
         ((10, 9), "must be square"), ((10,), "must be square"),
         ((9, 9), r"\(9, 9\) does not match features \(10, 4\)")])
     def test_static_adjacency_shape_is_checked(self, shape, message):
-        x, params = init_small_model()
+        # a square graph is checked when the model is built, its row count
+        # against the features on the forward pass
         with pytest.raises(DimensionError, match=message):
-            gcn.forward(x, params, adjacency=np.ones(shape))
+            x, params = init_small_model(adjacency=np.ones(shape))
+            gcn.forward(x, params)
 
 
 class TestConstantInputs:
@@ -333,8 +333,8 @@ class TestConstantInputs:
         n = 12
         x = np.random.default_rng(2).normal(size=(n, 4))
         params = gcn.init_model(x, 3, gc_widths=(5, 4), rng=np.random.default_rng(3),
-                                learn_graph=False)
-        logits = gcn.forward(x, params, adjacency=knn_adjacency(x, 3))
+                                adjacency=knn_adjacency(x, 3))
+        logits = gcn.forward(x, params)
         loss = ad.row_softmax_cross_entropy(logits, np.arange(n) % 3, np.arange(n))
         assert [t.shape for t in ad.build_tape(loss) if t.shape == (n, n)] == []
         ad.backward(loss)
@@ -353,9 +353,8 @@ class TestBackwardSweep:
         x = np.random.default_rng(6).normal(size=(n, 4))
         params = gcn.init_model(x, 3, embed_hidden=() if graph == "learned_no_hidden" else (6,),
                                 embed_dim=3, gc_widths=(5, 4), rng=np.random.default_rng(7),
-                                learn_graph=graph != "static")
-        adjacency = knn_adjacency(x, 3) if graph == "static" else None
-        loss = ad.row_softmax_cross_entropy(gcn.forward(x, params, adjacency=adjacency),
+                                adjacency=knn_adjacency(x, 3) if graph == "static" else None)
+        loss = ad.row_softmax_cross_entropy(gcn.forward(x, params),
                                             np.arange(n) % 3, np.arange(n))
         zero_fill_backward(loss)
         expected = [t.grad.copy() for t in params.tensors()]

@@ -46,7 +46,6 @@ MEMORY_TESTS = [
     "test_autodiff.py::TestTilePairs::test_adjoint_holds_a_few_tiles[dense]",
     "test_autodiff.py::TestTilePairs::test_adjoint_holds_a_few_tiles[factors]",
     "test_graph_learning.py::TestInitEdgeParams::test_peak_memory_is_about_half_an_nxn_buffer",
-    "test_training.py::TestTrain::test_training_step_holds_at_most_nine_nxn_buffers",
     "test_training.py::TestTrain::test_backward_forms_no_nxn_temporary",
     "test_training.py::TestEvaluate::test_peak_memory_is_about_three_quarters_of_an_nxn_buffer",
     "test_training.py::TestKnnBaseline::test_peak_memory_is_about_one_nxn_buffer",

