@@ -1,5 +1,5 @@
 """Node classifier: degree-normalized graph convolutions over the learned
-adjacency, followed by a fully connected head."""
+graph, or over a static one the model keeps, then a fully connected head."""
 
 from __future__ import annotations
 
@@ -46,7 +46,7 @@ def init_model(features: np.ndarray, n_classes: int, *,
     The edge scalars are calibrated on the embedding of ``features``
     under the freshly initialized embedder, so the initial graph starts
     with a sensible mix of strong and weak edges. A square ``adjacency``
-    over every node replaces them: the model keeps it row-normalized once.
+    over every node replaces the learned graph, row-normalized once.
     """
     features = np.asarray(features, dtype=np.float64)
     n_features = features.shape[1]

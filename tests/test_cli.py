@@ -258,8 +258,8 @@ class TestRunRecord:
         record = self.default_record([command], tmp_path, monkeypatch)
         defaults = synthetic.RecoveryConfig()
         edge_prob = inspect.signature(synthetic.recovery_curves).parameters["edge_probability"]
-        assert (record["iterations"], record["edge_prob"]) == (defaults.iterations,
-                                                                edge_prob.default)
+        assert record["iterations"] == defaults.iterations
+        assert record["edge_prob"] == edge_prob.default
         if command == "synth-recover":
             assert (record["dim"], record["seed"]) == (defaults.embedding_dim, defaults.seed)
 
